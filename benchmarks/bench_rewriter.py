@@ -123,7 +123,7 @@ def bench_rewriter_iterative_vs_recursive(benchmark):
 
     # The deep chain: iterative handles a depth the recursive baseline
     # cannot touch without a raised limit (and not at all on the small
-    # fixed stacks of scheduler worker threads).
+    # fixed stacks of worker threads).
     deep = _deep_chain(_DEEP_N)
     t0 = time.perf_counter()
     deep_normal = Rewriter(default_rules()).normalize(deep)

@@ -3,14 +3,10 @@
 Every Echo entry point that discharges obligations -- the verifier
 pipeline, the implementation proof, the refactoring engine's differential
 checks, the implication proof, the harness statistics -- takes one
-``exec=ExecConfig(...)`` parameter instead of a copy-pasted
-``jobs=/cache=/telemetry=`` keyword triplet.  The config is an immutable
-value object; components derive per-run :class:`~repro.exec.scheduler
-.ObligationScheduler` instances from it via :meth:`ExecConfig.scheduler`.
-
-The PR-3 migration is complete: the legacy keyword triplet is gone from
-every public entry point.  Passing one now raises a hard ``TypeError``
-with the replacement spelled out::
+``exec=ExecConfig(...)`` parameter.  The config is an immutable value
+object and the one place execution options are validated; components
+derive per-run :class:`~repro.exec.scheduler.ObligationScheduler`
+instances from it via :meth:`ExecConfig.scheduler`::
 
     from repro import ExecConfig, verify_aes
     result = verify_aes(exec=ExecConfig(jobs=8, backend="process"))
@@ -25,21 +21,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
 from .retry import RetryPolicy
-from .scheduler import BACKENDS, ObligationScheduler
 from .telemetry import Telemetry
 
-__all__ = ["ExecConfig", "RetryPolicy", "coerce_exec_config",
-           "reject_legacy_exec_kwargs"]
+if TYPE_CHECKING:
+    from .scheduler import ObligationScheduler
 
-#: The PR-3 legacy keywords, removed in PR 8.  Entry points keep catching
-#: them by name purely to raise a helpful ``TypeError`` (see
-#: :func:`reject_legacy_exec_kwargs`) instead of a bare
-#: "unexpected keyword argument".
-LEGACY_EXEC_KWARGS = ("jobs", "cache", "telemetry", "timeout_seconds",
-                      "obligation_timeout")
+__all__ = ["ExecConfig", "RetryPolicy", "coerce_exec_config", "BACKENDS"]
+
+#: Recognized execution backends, in increasing order of isolation.
+BACKENDS = ("serial", "process", "remote")
 
 
 def _check_address(owner: str, value: Any) -> str:
@@ -67,9 +60,11 @@ class ExecConfig:
                          serial path.  None selects ``os.cpu_count()``.
                          For ``backend="remote"`` this caps the *total*
                          in-flight leases across all connected workers.
-    ``backend``          'serial', 'thread' (GIL-bound, cheap start-up),
-                         'process' (true multi-core proving) or 'remote'
-                         (a proof farm of socket-connected worker hosts).
+    ``backend``          'process' (the default: a pool of ``jobs``
+                         worker processes, true multi-core proving;
+                         ``jobs=1`` runs serially), 'serial' (always
+                         inline, in order) or 'remote' (a proof farm of
+                         socket-connected worker hosts).
     ``cache``            a :class:`~repro.exec.cache.ResultCache`, None
                          for the process-wide default, or False to
                          disable caching outright.
@@ -83,18 +78,17 @@ class ExecConfig:
                          to the process-wide log).
     ``timeout_seconds``  per-obligation wall bound; must be positive when
                          given (0 would silently *disable* the worker's
-                         SIGALRM instead of enforcing a bound).  The
-                         process and remote backends enforce it
-                         preemptively (SIGALRM in the worker); the thread
-                         backend can only abandon the overrun thread.
+                         SIGALRM instead of enforcing a bound).  Workers
+                         enforce it preemptively (SIGALRM); inline work
+                         (serial, payloadless obligations) is bounded by
+                         the thunk's own timeouts.
     ``retries``          a :class:`RetryPolicy`, or an int coerced to one
                          (that many retries, default exponential backoff).
     ``on_error``         'raise' (propagate, the historical behaviour) or
                          'record' (mark the obligation ``errored``).
     ``on_backend_failure``  'raise' (an unusable backend aborts the run)
-                         or 'degrade' (fall back remote→process→thread→
-                         serial, recording a ``degraded`` telemetry
-                         event).
+                         or 'degrade' (fall back remote→process→serial,
+                         recording a ``degraded`` telemetry event).
     ``batch_size``       max obligations bundled into one dispatch unit
                          (DESIGN.md §18).  1 disables batching outright
                          (every obligation keeps its own dispatch unit,
@@ -127,7 +121,7 @@ class ExecConfig:
     """
 
     jobs: Optional[int] = 1
-    backend: str = "thread"
+    backend: str = "process"
     cache: Any = None
     cache_memory_entries: Optional[int] = None
     telemetry: Optional[Telemetry] = None
@@ -207,19 +201,9 @@ class ExecConfig:
 
     def scheduler(self) -> ObligationScheduler:
         """A scheduler configured by this config (one per run)."""
-        return ObligationScheduler(
-            jobs=self.jobs, cache=self.cache,
-            cache_memory_entries=self.cache_memory_entries,
-            telemetry=self.telemetry,
-            timeout_seconds=self.timeout_seconds, retries=self.retries,
-            on_error=self.on_error, backend=self.backend,
-            on_backend_failure=self.on_backend_failure,
-            remote_workers=self.remote_workers,
-            remote_listen=self.remote_listen,
-            lease_timeout_seconds=self.lease_timeout_seconds,
-            remote_shared_cache=self.remote_shared_cache,
-            batch_size=self.batch_size,
-            batch_bytes_cap=self.batch_bytes_cap)
+        from .scheduler import ObligationScheduler
+        return ObligationScheduler(**{field.name: getattr(self, field.name)
+                                      for field in dataclasses.fields(self)})
 
     def with_telemetry(self, telemetry: Telemetry) -> "ExecConfig":
         """This config with ``telemetry`` bound (components that own a
@@ -299,26 +283,3 @@ def coerce_exec_config(exec: Optional[ExecConfig], *,
             f"{owner}: exec must be an ExecConfig, got "
             f"{type(exec).__name__}")
     return exec
-
-
-def reject_legacy_exec_kwargs(owner: str, kwargs: dict) -> None:
-    """Raise the post-migration ``TypeError`` for the removed PR-3 shim
-    keywords (``jobs=``/``cache=``/``telemetry=``/``obligation_timeout=``
-    and friends), with the replacement spelled out.  Entry points route
-    their ``**kwargs`` catch-all here; anything else in ``kwargs`` is a
-    genuinely unknown keyword and gets the stock message."""
-    if not kwargs:
-        return
-    legacy = sorted(set(kwargs) & set(LEGACY_EXEC_KWARGS))
-    if legacy:
-        hints = []
-        for name in legacy:
-            target = "timeout_seconds" if name == "obligation_timeout" \
-                else name
-            hints.append(f"{target}={kwargs[name]!r}")
-        raise TypeError(
-            f"{owner}: the legacy {legacy} keyword(s) were removed; "
-            f"pass exec=ExecConfig({', '.join(hints)}) instead")
-    unknown = sorted(kwargs)
-    raise TypeError(f"{owner}: unexpected keyword argument(s): "
-                    f"{', '.join(unknown)}")

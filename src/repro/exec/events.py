@@ -16,7 +16,7 @@ Fault-tolerance events extend the life cycle (DESIGN.md §12):
   one retry or crash-requeue (non-terminal bookkeeping; the matching
   ``FINISHED`` event is the terminal one).
 * ``DEGRADED`` -- the scheduler abandoned an unusable backend and fell
-  back along the process→thread→serial chain (``kind='exec'``; not tied
+  back along the remote→process→serial chain (``kind='exec'``; not tied
   to a single obligation).
 * ``WORKER_ABANDONED`` -- pool shutdown left an unresponsive worker
   behind (``kind='exec'``; the obligation itself was already recorded
@@ -26,8 +26,12 @@ Fault-tolerance events extend the life cycle (DESIGN.md §12):
   trip to a worker (``kind='exec'``; non-terminal bookkeeping).  ``wall``
   carries the *dispatch overhead*: round-trip wall minus the summed
   per-item execution walls -- the pickling/wire/queue cost the batching
-  layer (DESIGN.md §18) exists to amortize.  ``detail`` is
-  ``items=<K>``; ``K > 1`` marks a batched dispatch.
+  layer (DESIGN.md §18) exists to amortize.  The unit's size is the
+  typed ``items`` field (``K > 1`` marks a batched dispatch; ``detail``
+  repeats it as ``items=<K>`` for human readers).  Every shipped unit is
+  recorded exactly once, when its last member settles -- returned, lost
+  with its worker, or abandoned -- so batching counts never depend on
+  faults.
 
 Live subscription: a :class:`~repro.exec.telemetry.Telemetry` is not only
 a log to post-process after the run -- callers can attach a callback with
@@ -80,7 +84,8 @@ class ObligationEvent:
     ``t`` is seconds since the owning telemetry's epoch; ``wall`` is the
     obligation's execution time (only meaningful on terminal events);
     ``queue_depth`` is the number of submitted-but-unfinished obligations
-    at the moment the event was recorded.
+    at the moment the event was recorded; ``items`` is the member count
+    of a ``DISPATCHED`` unit (0 on every other event).
     """
 
     event: str
@@ -90,6 +95,7 @@ class ObligationEvent:
     wall: float = 0.0
     queue_depth: int = 0
     detail: str = ""
+    items: int = 0
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -100,10 +106,10 @@ class EventSubscription:
     :class:`~repro.exec.telemetry.Telemetry`.
 
     Obtained from ``Telemetry.subscribe(callback)``.  The callback runs
-    synchronously on whichever thread records the event (scheduler
-    worker threads included), *after* the telemetry's internal lock is
-    released -- it must be fast and must not call back into the same
-    telemetry's ``record``.  A callback that raises is detached
+    synchronously on whichever thread records the event (the scheduler's
+    calling thread, a serve worker thread), *after* the telemetry's
+    internal lock is released -- it must be fast and must not call back
+    into the same telemetry's ``record``.  A callback that raises is detached
     immediately (a broken subscriber must not take the proof run down
     with it); the offending exception is kept on :attr:`error` so the
     subscriber's owner can notice the feed died rather than silently

@@ -1,8 +1,8 @@
 """The proof-farm coordinator: worker registry, leases, shared cache.
 
 One :class:`RemoteCoordinator` lives inside the scheduler's
-``backend='remote'`` run (:meth:`~repro.exec.scheduler
-.ObligationScheduler._run_remote`).  It owns the farm's connection
+``backend='remote'`` run (:class:`~repro.exec.scheduler
+._RemoteTransport`).  It owns the farm's connection
 state and speaks the versioned wire protocol of :mod:`repro.protocol`
 -- the scheduler only sees a lease API and an event queue:
 

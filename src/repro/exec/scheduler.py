@@ -2,74 +2,45 @@
 
 ``ObligationScheduler.run`` takes a list of :class:`Obligation` and
 returns one :class:`ObligationOutcome` per obligation, **in input order**
-regardless of completion order.  Four execution backends:
+regardless of completion order.  Three execution backends:
 
-* ``backend='serial'`` (or ``jobs == 1``) -- the guaranteed serial
-  fallback: obligations run inline, one after another, on the calling
-  thread.  This path performs exactly the work the pre-scheduler code
-  ran, in the same order, so results are bit-identical and tier-1
-  determinism is preserved.
-* ``backend='thread'`` -- a ``concurrent.futures.ThreadPoolExecutor``.
-  Cheap to spin up and shares the parent's interned terms directly, but
-  GIL-bound for pure-Python proving: extra threads only help where
-  discharge time is spent outside the interpreter loop.
-* ``backend='process'`` -- a ``concurrent.futures.ProcessPoolExecutor``.
-  True multi-core proving for the embarrassingly parallel obligation
-  batches of the three proof legs.  The parent ships each obligation's
-  declarative ``payload`` (:mod:`repro.exec.payload`); terms inside it
-  cross the boundary via the structural wire format
-  (:mod:`repro.logic.wire`), which re-interns them worker-side so
-  hash-consing identity survives.  Obligations without a payload run
-  inline on the parent.
-* ``backend='remote'`` -- a proof farm (:mod:`repro.exec.remote`):
-  obligations are *leased* to worker processes on other hosts over
-  sockets, shipping the same payloads via the same wire format as the
-  process backend (pickled term DAGs re-interned worker-side).  A shared
-  networked cache tier lets any worker read this scheduler's
-  content-addressed cache before computing, a lost connection blames
-  exactly that worker's leases (re-run solo, quarantine after
-  ``QUARANTINE_AFTER`` blames, flapping hosts rejected), and the
-  degradation chain extends to ``remote→process→thread→serial``.
-  See :meth:`ObligationScheduler._run_remote` and DESIGN.md §16.
+* ``backend='serial'`` (or ``jobs == 1``, or a single obligation) --
+  obligations run inline, in order, on the calling thread: exactly the
+  work the pre-scheduler code ran, so results are bit-identical.
+* ``backend='process'`` (the default) -- a ``ProcessPoolExecutor`` of
+  ``jobs`` workers.  The parent ships each obligation's declarative
+  ``payload`` (:mod:`repro.exec.payload`); terms cross the boundary in
+  the structural wire format (:mod:`repro.logic.wire`), which re-interns
+  them worker-side so hash-consing identity survives.
+* ``backend='remote'`` -- a proof farm (:mod:`repro.exec.remote`, DESIGN.md
+  §16): the same payloads are *leased* to worker processes on other
+  hosts over sockets, with a shared networked cache tier.
 
-Obligations sharing a ``group`` are chained so they execute serially in
-submission order on every backend (per-subprogram prover state keeps its
-serial discipline); distinct groups and ungrouped obligations fan out
-freely.  The cache and telemetry always live in the parent: workers
-return (wire-encoded) results plus timing, and the parent records events
-and populates the cache, so both behave identically across backends.
+Both parallel backends run one dispatcher
+(:meth:`ObligationScheduler._dispatch`) over a narrow transport that
+ships a dispatch unit (one obligation or a ``BatchPayload``), polls for
+completions, and reports lost units with their blame scope: the whole
+pool (:class:`_ProcessTransport`) or one connection
+(:class:`_RemoteTransport`).  Group chaining (same-``group`` obligations
+run serially, in order), cache-before-dispatch, inline payloadless
+execution, batch-unit formation, result decoding, ``stop_on``/
+``on_error`` and blame are written once, in the dispatcher.  Cache and
+telemetry live in the parent, identical on every backend.
 
-Per-obligation timeout: the thread backend can only *abandon* an overrun
-worker thread (threads cannot be preempted) -- the collector marks the
-obligation ``timed_out`` and the thread's eventual result is discarded.
-The process backend upgrades this to a hard bound: the worker installs a
-``SIGALRM`` interval timer around the discharge, so an overrunning
-obligation is preempted mid-computation, reported ``timed_out``, and the
-worker process stays healthy for the next obligation.  (A stuck worker
-that fails to honor the alarm is abandoned by a parent-side fallback
-deadline, and the abandonment is recorded in telemetry at shutdown.)  In
-serial mode the thunk's own internal timeouts
-(e.g. ``AutoProver.timeout_seconds``) bound the work, as they always did.
+Timeouts: workers arm a ``SIGALRM`` timer around each discharge, so an
+overrun is preempted and reported ``timed_out``; a process worker that
+ignores it is abandoned at a parent-side fallback deadline, an overdue
+remote lease closes its connection.  Inline work is bounded by the
+thunk's own timeouts (e.g. ``AutoProver.timeout_seconds``).
 
-Fault tolerance (DESIGN.md §12).  Transient failures are retried under a
-:class:`~repro.exec.retry.RetryPolicy` -- exponential backoff with
-deterministic jitter, so the delay schedule of an obligation is identical
-on every backend and host; a thunk that still raises either propagates
-(``on_error='raise'``, the default -- matching the pre-scheduler
-behaviour) or is recorded as an ``errored`` outcome
-(``on_error='record'``).  The process backend additionally survives
-*worker death*: when the pool breaks (``BrokenProcessPool``), every
-in-flight obligation is blamed once and requeued for a solo re-run on a
-freshly respawned pool -- solo, so the second run assigns guilt
-precisely -- and an obligation that kills a worker twice is quarantined
-with a ``crashed`` outcome instead of aborting the run.  When the
-backend itself proves unusable (the pool cannot be respawned, worker
-processes die before executing anything, thread creation fails), the
-scheduler either raises :class:`BackendUnusableError`
-(``on_backend_failure='raise'``) or degrades along the
-process→thread→serial chain (``on_backend_failure='degrade'``),
-recording a ``degraded`` telemetry event and finishing the remaining
-obligations on the fallback backend.
+Faults (DESIGN.md §12): retries follow a
+:class:`~repro.exec.retry.RetryPolicy` with deterministic jitter; a
+thunk that still raises propagates (``on_error='raise'``) or is
+recorded ``errored``.  Every member of a lost unit is blamed once and
+re-run *solo*; ``QUARANTINE_AFTER`` blames quarantine an obligation as
+``crashed``.  An unusable backend raises :class:`BackendUnusableError`
+or, under ``on_backend_failure='degrade'``, falls back along
+remote→process→serial, recording a ``degraded`` event.
 """
 
 from __future__ import annotations
@@ -78,33 +49,28 @@ import io
 import os
 import pickle
 import signal
-import threading
 import time
 from collections import deque
 from concurrent.futures import (
-    FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor,
-    ThreadPoolExecutor, TimeoutError as _FutureTimeout, wait as _fut_wait,
+    FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait as _fut_wait,
 )
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from . import events as ev
-from .cache import ResultCache, default_cache
+from .cache import default_cache
+from .config import BACKENDS, ExecConfig
 from .obligation import Obligation
 from .payload import make_batch
 from .retry import RetryPolicy
-from .telemetry import Telemetry, default_telemetry
+from .telemetry import default_telemetry
 
 __all__ = ["ObligationOutcome", "ObligationScheduler", "BACKENDS",
            "BackendUnusableError"]
 
-#: Recognized execution backends, in increasing order of isolation.
-BACKENDS = ("serial", "thread", "process", "remote")
-
 #: Fallback taken by ``on_backend_failure='degrade'`` when a backend is
 #: unusable; ``serial`` has no fallback -- it cannot fail to exist.
-DEGRADE_CHAIN = {"remote": "process", "process": "thread",
-                 "thread": "serial"}
+DEGRADE_CHAIN = {"remote": "process", "process": "serial"}
 
 OK = "ok"
 CACHED = "cached"
@@ -113,7 +79,7 @@ ERRORED = "errored"
 SKIPPED = "skipped"
 CRASHED = "crashed"
 
-#: Kill-a-worker blames after which an obligation is quarantined.
+#: Lost-unit blames after which an obligation is quarantined.
 QUARANTINE_AFTER = 2
 
 
@@ -143,10 +109,6 @@ class BackendUnusableError(RuntimeError):
         self.reason = reason
 
 
-class _Abandoned(Exception):
-    """Internal: the collector stopped waiting for this obligation."""
-
-
 class _HardTimeout(BaseException):
     """Worker-side: the per-obligation SIGALRM fired.  A BaseException so
     no ``except Exception`` inside a discharge can swallow it."""
@@ -154,19 +116,14 @@ class _HardTimeout(BaseException):
 
 def _process_worker(index: int, payload, retry_policy: RetryPolicy,
                     timeout_seconds: Optional[float], token: str) -> tuple:
-    """Execute one obligation payload in a pool worker.
+    """Execute one obligation payload in a worker.
 
     Returns ``(index, status, wire_value, wall, attempts, retry_errors,
-    exception-or-None)`` -- always plain picklable data; exceptions are
-    only shipped as objects when they themselves pickle.  ``status`` is
-    ``'ok'``, ``'timed_out'`` (the hard per-obligation deadline fired) or
-    ``'errored'``.  The timeout budget covers the whole obligation,
-    retries *and their backoff sleeps* included, matching the thread
-    backend's per-obligation wait; ``token`` feeds the deterministic
-    jitter so worker-side delays equal parent-side ones.
+    exception-or-None)``, plain picklable data (an exception ships only
+    if it pickles); ``status`` is ``'ok'``, ``'timed_out'`` or
+    ``'errored'``.  The timeout covers retries and their backoff sleeps;
+    ``token`` feeds the deterministic jitter.
     """
-    import pickle
-
     started = time.perf_counter()
     attempts = 0
     retry_errors: List[str] = []
@@ -215,13 +172,10 @@ def _process_worker(index: int, payload, retry_policy: RetryPolicy,
 
 def _batch_worker(batch, retry_policy: RetryPolicy,
                   timeout_seconds: Optional[float]) -> tuple:
-    """Execute one :class:`~repro.exec.payload.BatchPayload` in a pool
-    worker: absorb the hoisted warm normalization batches exactly once,
-    then run each entry through the same per-item machinery a solo
-    dispatch uses (:func:`_process_worker` installs and clears its own
-    alarm per entry, so per-item timeout, retry, and jitter accounting
-    are identical to unbatched dispatch).  Returns one standard result
-    tuple per entry, in entry order."""
+    """Execute one :class:`~repro.exec.payload.BatchPayload` in a worker:
+    absorb the hoisted warm normalization batches once, then run each
+    entry through :func:`_process_worker` (own alarm, retries and jitter
+    per entry, as in solo dispatch).  One result tuple per entry."""
     from .payload import _absorb_warm
     for warm_key, warm_norms in batch.warm:
         _absorb_warm(warm_key, warm_norms)
@@ -231,22 +185,20 @@ def _batch_worker(batch, retry_policy: RetryPolicy,
         for index, payload, token, _key in batch.entries)
 
 
+def _batch_of(obligations, indices):
+    return make_batch([(i, obligations[i].payload, obligations[i].label,
+                        obligations[i].cache_key) for i in indices])
+
+
 class _BatchSizer:
     """Marginal-size meter for one forming batch (DESIGN.md §18).
 
-    Measures each candidate payload's pickled size *in the context of
-    the batch being formed*: one shared pickler keeps its memo across
-    items, so an object an admitted sibling already ships (a common
-    package AST, a reference theory) costs a back-reference, not a
-    second serialization -- exactly the sharing the real batch blob
-    gets.  The first item of a batch therefore reports its full solo
-    size while followers report their true marginal cost, which is what
-    the admission rule compares against the per-item byte budget.
-
-    ``measure`` returns None for a payload that cannot be pickled (the
-    item is shipped solo so the submission path's loud failure behaviour
-    is preserved) and resets the meter, whose memo the failed dump may
-    have corrupted.
+    One shared pickler keeps its memo across items, so an object an
+    admitted sibling already ships (a package AST, a theory) costs a
+    back-reference -- exactly the sharing the real batch blob gets.
+    ``measure`` returns None for an unpicklable payload (it ships solo,
+    keeping the submission path's loud failure) and resets the meter,
+    whose memo the failed dump may have corrupted.
     """
 
     __slots__ = ("_buf", "_pickler")
@@ -273,101 +225,291 @@ class _BatchSizer:
         return self._buf.tell() - before
 
 
+class _Unit:
+    """A shipped dispatch unit: members, send time, members still out,
+    and their summed execution walls."""
+
+    __slots__ = ("members", "sent", "live", "busy")
+
+    def __init__(self, members: tuple):
+        self.members = members
+        self.sent = time.perf_counter()
+        self.live = len(members)
+        self.busy = 0.0
+
+
+# -- transports: the backend-specific half of a parallel run ----------------
+#
+#   start()              acquire workers (may raise BackendUnusableError)
+#   capacity             max units in flight, or None for unbounded
+#   ship(members, avoid) send one unit; False when it cannot go now
+#   poll(idle)           wait; returns ("result", index, result_tuple,
+#                        worker, served) | ("lost", indices, scope, what) |
+#                        ("timed_out", indices) | ("failed", indices, exc)
+#   close()              release workers
+
+class _ProcessTransport:
+    """Units go to a ``ProcessPoolExecutor``.  A dead worker breaks the
+    whole pool: a loss blames everything in flight and the pool is
+    respawned.  Also owns the fallback deadline and the barren-crash
+    limit."""
+
+    capacity = None
+
+    def __init__(self, sched: "ObligationScheduler", obligations):
+        self.sched = sched
+        self.obligations = obligations
+        self.pool: Optional[ProcessPoolExecutor] = None
+        #: Future -> (members, fallback deadline)
+        self.futures: Dict[object, tuple] = {}
+        self.broken: Optional[BaseException] = None
+        self.barren = 0
+        self.abandoned = False
+        timeout = sched.timeout_seconds
+        self.fallback = None if timeout is None \
+            else timeout * 1.5 + sched.TIMEOUT_FALLBACK_SLACK
+
+    def start(self) -> None:
+        self.pool = self.sched._spawn_pool()
+
+    def ship(self, members: tuple, avoid) -> bool:
+        if self.broken is not None:
+            return False
+        sched, obs = self.sched, self.obligations
+        try:
+            if len(members) == 1:
+                ob = obs[members[0]]
+                future = self.pool.submit(
+                    _process_worker, members[0], ob.payload,
+                    sched.retry_policy, sched.timeout_seconds, ob.label)
+            else:
+                future = self.pool.submit(
+                    _batch_worker, _batch_of(obs, members),
+                    sched.retry_policy, sched.timeout_seconds)
+        except BrokenExecutor as exc:
+            self.broken = exc   # never ran: requeued unblamed
+            return False
+        # SIGALRM bounds each member, so a batch's worst legitimate case
+        # is the sum of the per-item budgets.
+        deadline = None if self.fallback is None \
+            else time.perf_counter() + self.fallback * len(members)
+        self.futures[future] = (members, deadline)
+        return True
+
+    def poll(self, idle: bool) -> list:
+        if self.broken is not None:
+            return self._recover(self.broken)
+        deadlines = [d for _, d in self.futures.values() if d is not None]
+        wait_for = max(0.0, min(deadlines) - time.perf_counter()) \
+            if deadlines else None
+        done, _ = _fut_wait(set(self.futures), timeout=wait_for,
+                            return_when=FIRST_COMPLETED)
+        events = []
+        now = time.perf_counter()
+        for future, (members, deadline) in list(self.futures.items()):
+            if future not in done and deadline is not None \
+                    and deadline <= now:
+                del self.futures[future]
+                self.abandoned = True
+                events.append(("timed_out", members))
+        broken = None
+        for future in done:
+            if future not in self.futures:
+                continue
+            members = self.futures[future][0]
+            try:
+                raw = future.result()
+            except BrokenExecutor as exc:
+                broken = exc   # poisons every in-flight future: recover
+                continue
+            except Exception as exc:   # noqa: BLE001 - e.g. unpicklable
+                del self.futures[future]
+                events.append(("failed", members, exc))
+                continue
+            del self.futures[future]
+            self.barren = 0
+            for result in (raw if len(members) > 1 else (raw,)):
+                events.append(("result", result[0], result, None, None))
+        if broken is not None:
+            events.extend(self._recover(broken))
+        return events
+
+    def _recover(self, cause: BaseException) -> list:
+        """Blame everything in flight and respawn the pool."""
+        if self.futures:
+            self.barren = 0
+        else:
+            self.barren += 1
+            if self.barren >= self.sched.BARREN_CRASH_LIMIT:
+                raise BackendUnusableError(
+                    "process", f"worker pool keeps dying with nothing in "
+                               f"flight ({cause})")
+        lost = [i for members, _ in self.futures.values() for i in members]
+        self.futures.clear()
+        self.broken = None
+        try:
+            self.pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:   # noqa: BLE001 - broken pools may misbehave
+            pass
+        self.pool = self.sched._spawn_pool()
+        what = f"worker died ({type(cause).__name__})"
+        return [("lost", lost, None, what)] if lost else []
+
+    def close(self) -> None:
+        if self.pool is None:
+            return
+        if self.abandoned:
+            self.sched.telemetry.record(
+                ev.WORKER_ABANDONED, "exec", "backend:process",
+                detail="unresponsive worker process abandoned at pool "
+                       "shutdown")
+        # Wait unless an unresponsive worker would block shutdown forever.
+        self.pool.shutdown(wait=not self.abandoned, cancel_futures=True)
+
+
+class _RemoteTransport:
+    """Units are leased to socket-connected workers through a
+    :class:`~repro.exec.remote.coordinator.RemoteCoordinator`.  A dead
+    connection (crash, kill -9, network drop, expired lease) blames
+    exactly that worker's leases; their solo re-runs avoid it.  ``jobs``
+    caps the leases in flight across the farm."""
+
+    def __init__(self, sched: "ObligationScheduler", obligations):
+        from .remote.coordinator import RemoteCoordinator
+        self.sched = sched
+        self.obligations = obligations
+        self.capacity = sched.jobs
+        # The shared cache tier: workers ask for a key before computing;
+        # the lookup runs against this scheduler's own cache, re-encoded
+        # to the obligation's wire form.
+        by_key: Dict[str, Obligation] = {}
+        for ob in obligations:
+            if ob.cache_key is not None and ob.payload is not None:
+                by_key.setdefault(ob.cache_key, ob)
+
+        def cache_lookup(key):
+            ob = by_key.get(key)
+            if ob is None:
+                return None
+            hit, value = sched.cache.get(key, decode=ob.decode)
+            if not hit:
+                return None
+            try:
+                return ob.encode(value) if ob.encode is not None \
+                    else ob.payload.encode_result(value)
+            except Exception:   # noqa: BLE001 - a cache miss, not a fault
+                return None
+
+        # Explicit lease_timeout_seconds wins; otherwise a worker's
+        # REMOTE_PER_WORKER_INFLIGHT leases, each SIGALRM-bounded, plus
+        # slack; with neither, leases never expire.
+        lease_timeout = sched.lease_timeout_seconds
+        if lease_timeout is None and sched.timeout_seconds is not None:
+            lease_timeout = (sched.REMOTE_PER_WORKER_INFLIGHT
+                             * sched.timeout_seconds * 1.5
+                             + sched.TIMEOUT_FALLBACK_SLACK)
+        shared = sched.remote_shared_cache and sched.cache is not None
+        self.coordinator = RemoteCoordinator(
+            listen=sched.remote_listen, dial=sched.remote_workers,
+            cache_lookup=cache_lookup if shared else None,
+            lease_timeout=lease_timeout,
+            per_worker=sched.REMOTE_PER_WORKER_INFLIGHT)
+
+    def start(self) -> None:
+        try:
+            self.coordinator.start()
+        except OSError as exc:
+            raise BackendUnusableError(
+                "remote", f"cannot start coordinator: {exc}")
+        self.sched.remote_bound_address = self.coordinator.bound_address
+        self._await_worker("no workers joined")
+
+    def _await_worker(self, why: str) -> None:
+        grace = self.sched.REMOTE_WORKER_GRACE
+        if not self.coordinator.wait_for_workers(1, grace):
+            raise BackendUnusableError("remote", f"{why} within {grace}s")
+
+    def ship(self, members: tuple, avoid) -> bool:
+        sched, obs = self.sched, self.obligations
+        if len(members) == 1:
+            ob = obs[members[0]]
+            name = self.coordinator.lease(
+                members[0], ob.payload, sched.retry_policy,
+                sched.timeout_seconds, ob.label, ob.cache_key, avoid=avoid)
+        else:
+            name = self.coordinator.lease_batch(
+                members, _batch_of(obs, members), sched.retry_policy,
+                sched.timeout_seconds, avoid=avoid)
+        return name is not None
+
+    def poll(self, idle: bool) -> list:
+        if idle and self.coordinator.live_workers() == 0:
+            self._await_worker("every worker was lost or quarantined and "
+                               "no replacement joined")
+            return []
+        event = self.coordinator.poll(timeout=0.25)
+        if event is None or event[0] == "joined":
+            return []
+        if event[0] == "result":
+            return [event]
+        if event[0] == "lost":
+            _, name, indices, reason = event
+            return [("lost", indices, name, f"worker {name} lost ({reason})")]
+        _, name, reason = event   # a flapping host was quarantined
+        self.sched.telemetry.record(ev.QUARANTINED, "exec",
+                                    f"worker:{name}", detail=reason)
+        return []
+
+    def close(self) -> None:
+        self.coordinator.stop()
+
+
+_TRANSPORTS = {"process": _ProcessTransport, "remote": _RemoteTransport}
+
+
 class ObligationScheduler:
-    #: (Re)spawn attempts granted to the process pool before the backend
-    #: is declared unusable.
+    #: (Re)spawn attempts granted to the process pool.
     POOL_SPAWN_ATTEMPTS = 2
     #: Consecutive pool breaks with *nothing in flight* (workers dying
     #: before executing anything) after which the backend is unusable.
     BARREN_CRASH_LIMIT = 2
-    #: Parent-side slack (seconds) added on top of the per-obligation
-    #: timeout before an unresponsive worker is abandoned.
+    #: Parent-side slack (seconds) on top of the per-obligation timeout
+    #: before an unresponsive worker is abandoned.
     TIMEOUT_FALLBACK_SLACK = 5.0
-    #: Seconds the remote backend waits for at least one worker to join
-    #: (at start-up, and again after losing every worker mid-run) before
-    #: declaring the backend unusable.  Tests shrink this.
+    #: Seconds the remote backend waits for a worker to join (at start-up
+    #: and after losing every worker) before it is unusable.
     REMOTE_WORKER_GRACE = 10.0
-    #: Leases a single remote worker may hold at once.  2 keeps one
-    #: obligation queued behind the one executing, so the worker never
-    #: idles waiting on the coordinator's dispatch latency.
+    #: Leases one remote worker may hold: 2 keeps one unit queued behind
+    #: the one executing, hiding the coordinator's dispatch latency.
     REMOTE_PER_WORKER_INFLIGHT = 2
 
-    def __init__(self, jobs: Optional[int] = None,
-                 cache: Optional[ResultCache] = None,
-                 cache_memory_entries: Optional[int] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 timeout_seconds: Optional[float] = None,
-                 retries: Union[int, RetryPolicy] = 0,
-                 on_error: str = "raise",
-                 backend: str = "thread",
-                 on_backend_failure: str = "raise",
-                 remote_workers: Sequence[str] = (),
-                 remote_listen: Optional[str] = None,
-                 lease_timeout_seconds: Optional[float] = None,
-                 remote_shared_cache: bool = True,
-                 batch_size: int = 16,
-                 batch_bytes_cap: int = 4 * 1024 * 1024):
-        self.jobs = max(1, jobs if jobs is not None else
-                        (os.cpu_count() or 1))
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, "
-                             f"got {backend!r}")
-        self.backend = backend
+    def __init__(self, jobs: Optional[int] = None, **options):
+        """``jobs=None`` selects ``os.cpu_count()``; every other keyword
+        is an :class:`~repro.exec.config.ExecConfig` field, validated
+        there (``ValueError`` on a bad value)."""
+        config = ExecConfig(jobs=jobs, **options)
+        self.jobs = config.jobs or os.cpu_count() or 1
+        self.backend = config.backend
         #: ``cache=None`` selects the process default; ``cache=False``
         #: disables caching outright.
-        if cache is None:
-            self.cache = default_cache()
-        elif cache is False:
-            self.cache = None
-        else:
-            self.cache = cache
-        if self.cache is not None and cache_memory_entries is not None:
-            self.cache.set_memory_limit(cache_memory_entries)
-        self.telemetry = telemetry if telemetry is not None \
+        self.cache = default_cache() if config.cache is None \
+            else None if config.cache is False else config.cache
+        if self.cache is not None and config.cache_memory_entries is not None:
+            self.cache.set_memory_limit(config.cache_memory_entries)
+        self.telemetry = config.telemetry if config.telemetry is not None \
             else default_telemetry()
-        if timeout_seconds is not None and timeout_seconds <= 0:
-            raise ValueError(f"timeout_seconds must be positive, "
-                             f"got {timeout_seconds!r}")
-        self.timeout_seconds = timeout_seconds
-        self.retry_policy = RetryPolicy.coerce(retries)
-        #: Plain retry count, kept for backward compatibility with code
-        #: that read the pre-policy int attribute.
-        self.retries = self.retry_policy.retries
-        if on_error not in ("raise", "record"):
-            raise ValueError(f"on_error must be 'raise' or 'record', "
-                             f"got {on_error!r}")
-        self.on_error = on_error
-        if on_backend_failure not in ("raise", "degrade"):
-            raise ValueError(f"on_backend_failure must be 'raise' or "
-                             f"'degrade', got {on_backend_failure!r}")
-        self.on_backend_failure = on_backend_failure
-        self.remote_workers = tuple(remote_workers)
-        self.remote_listen = remote_listen
-        if lease_timeout_seconds is not None and lease_timeout_seconds <= 0:
-            raise ValueError(f"lease_timeout_seconds must be positive, "
-                             f"got {lease_timeout_seconds!r}")
-        self.lease_timeout_seconds = lease_timeout_seconds
-        self.remote_shared_cache = remote_shared_cache
-        if isinstance(batch_size, bool) or not isinstance(batch_size, int) \
-                or batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, "
-                             f"got {batch_size!r}")
-        self.batch_size = batch_size
-        if isinstance(batch_bytes_cap, bool) \
-                or not isinstance(batch_bytes_cap, int) \
-                or batch_bytes_cap <= 0:
-            raise ValueError(f"batch_bytes_cap must be a positive integer "
-                             f"(bytes), got {batch_bytes_cap!r}")
-        self.batch_bytes_cap = batch_bytes_cap
-        if backend == "remote" and not self.remote_workers \
-                and self.remote_listen is None:
-            raise ValueError(
-                "backend='remote' needs a worker source: remote_workers="
-                "('host:port', ...) to dial out, or remote_listen="
-                "'host:port' to accept dial-ins")
-        #: The coordinator's actual bind address ("host:port"), once a
-        #: remote run with ``remote_listen`` has started (port 0 resolves
-        #: to the ephemeral port).  Workers dial this.
+        self.timeout_seconds = config.timeout_seconds
+        self.retry_policy: RetryPolicy = config.retries
+        self.on_error = config.on_error
+        self.on_backend_failure = config.on_backend_failure
+        self.remote_workers = config.remote_workers
+        self.remote_listen = config.remote_listen
+        self.lease_timeout_seconds = config.lease_timeout_seconds
+        self.remote_shared_cache = config.remote_shared_cache
+        self.batch_size = config.batch_size
+        self.batch_bytes_cap = config.batch_bytes_cap
+        #: The coordinator's bound "host:port" once a remote run with
+        #: ``remote_listen`` has started (port 0 resolved); workers dial it.
         self.remote_bound_address: Optional[str] = None
 
     # -- public -------------------------------------------------------------
@@ -378,16 +520,11 @@ class ObligationScheduler:
         """Execute all obligations; results in input order.
 
         ``stop_on(outcome)`` returning True stops scheduling further
-        obligations (remaining ones come back ``skipped``) -- the serial
-        path's early exit, e.g. a differential check stopping at the first
-        counterexample.
-
-        A pass that finds its backend unusable raises
-        :class:`BackendUnusableError` (``on_backend_failure='raise'``) or
-        falls back along ``process → thread → serial``
-        (``on_backend_failure='degrade'``): outcomes already reached stay
-        final, and only the unfinished obligations re-run on the fallback
-        backend.
+        obligations (remaining ones come back ``skipped``), e.g. a
+        differential check stopping at the first counterexample.  When
+        the backend degrades (``on_backend_failure='degrade'``), outcomes
+        already reached stay final and only the unfinished obligations
+        re-run on the fallback backend.
         """
         obligations = list(obligations)
         outcomes: List[Optional[ObligationOutcome]] = [None] * len(obligations)
@@ -397,19 +534,15 @@ class ObligationScheduler:
         # The remote backend is exempt from the small-batch serial
         # shortcut: even one obligation ships to a worker host (that is
         # the point of a farm -- the parent may be a thin coordinator).
-        if backend in ("thread", "process") \
-                and (self.jobs == 1 or len(obligations) <= 1):
+        if backend == "process" and (self.jobs == 1 or len(obligations) <= 1):
             backend = "serial"
         while True:
             try:
                 if backend == "serial":
                     self._run_serial(obligations, stop_on, outcomes)
-                elif backend == "thread":
-                    self._run_parallel(obligations, stop_on, outcomes)
-                elif backend == "process":
-                    self._run_process(obligations, stop_on, outcomes)
                 else:
-                    self._run_remote(obligations, stop_on, outcomes)
+                    self._dispatch(_TRANSPORTS[backend](self, obligations),
+                                   obligations, stop_on, outcomes)
                 break
             except BackendUnusableError as exc:
                 fallback = DEGRADE_CHAIN.get(backend)
@@ -421,7 +554,8 @@ class ObligationScheduler:
                 backend = fallback
         for i, ob in enumerate(obligations):
             if outcomes[i] is None:
-                outcomes[i] = self._skip(ob)
+                self.telemetry.record(ev.SKIPPED, ob.kind, ob.label)
+                outcomes[i] = ObligationOutcome(obligation=ob, status=SKIPPED)
         return outcomes  # type: ignore[return-value]
 
     # -- serial path --------------------------------------------------------
@@ -439,129 +573,6 @@ class ObligationScheduler:
 
     # -- parallel path ------------------------------------------------------
 
-    def _run_parallel(self, obligations, stop_on, outcomes) -> None:
-        # Predecessor chain per group: obligation i waits until the previous
-        # unfinished obligation of its group has finished.  Submission order
-        # is FIFO, so a predecessor is always dequeued before its successor
-        # and the wait chain always terminates at a running task -- no
-        # deadlock.
-        remaining = [i for i in range(len(obligations))
-                     if outcomes[i] is None]
-        done_events: Dict[int, threading.Event] = \
-            {i: threading.Event() for i in remaining}
-        predecessor: Dict[int, Optional[int]] = {i: None for i in remaining}
-        last_in_group: Dict[str, int] = {}
-        for i in remaining:
-            group = obligations[i].group
-            if group is not None:
-                if group in last_in_group:
-                    predecessor[i] = last_in_group[group]
-                last_in_group[group] = i
-
-        def worker(index: int) -> ObligationOutcome:
-            try:
-                pred = predecessor[index]
-                if pred is not None:
-                    done_events[pred].wait()
-                return self._execute(obligations[index])
-            finally:
-                done_events[index].set()
-
-        def run_batch(indices: tuple) -> Dict[int, ObligationOutcome]:
-            """One future covering several obligations, run in index
-            order (DESIGN.md §18).  There is no wire here, so thread
-            batching only amortizes future/collector machinery for
-            micro-obligation swarms; every item still runs through
-            ``worker`` and sets its own done event, keeping group
-            chaining intact.  The FIFO no-deadlock argument is the solo
-            one: a predecessor is either earlier in this bundle
-            (already run) or in an earlier-submitted future."""
-            return {i: worker(i) for i in indices}
-
-        try:
-            pool = ThreadPoolExecutor(max_workers=self.jobs)
-        except Exception as exc:   # noqa: BLE001 - backend boundary
-            raise BackendUnusableError(
-                "thread", f"cannot start thread pool: {exc}")
-        futures: Dict[int, object] = {}
-        unusable: Optional[BaseException] = None
-        stopped = False
-        abandoned = False
-        # Batch only without a per-obligation timeout: the collector's
-        # per-future wait is the timeout instrument on this backend and
-        # it cannot see into a bundle.
-        batch = self.batch_size if self.timeout_seconds is None else 1
-        try:
-            try:
-                if batch <= 1:
-                    for i in remaining:
-                        futures[i] = pool.submit(worker, i)
-                else:
-                    # Chunk depth adapts to the burst so the pool is
-                    # never starved by one deep bundle.
-                    chunk = min(batch,
-                                max(1, -(-len(remaining) // self.jobs)))
-                    for at in range(0, len(remaining), chunk):
-                        span = remaining[at:at + chunk]
-                        if len(span) == 1:
-                            futures[span[0]] = pool.submit(worker, span[0])
-                        else:
-                            shared = pool.submit(run_batch, tuple(span))
-                            for i in span:
-                                futures[i] = shared
-            except RuntimeError as exc:
-                # e.g. "can't start new thread": collect what was submitted
-                # (predecessors were submitted first, so group chains among
-                # the submitted prefix still resolve), then degrade.
-                unusable = exc
-            for i, future in futures.items():
-                if stopped:
-                    if future.cancel():
-                        done_events[i].set()
-                        outcomes[i] = self._skip(obligations[i])
-                        continue
-                try:
-                    result = future.result(timeout=self.timeout_seconds)
-                    outcome = result[i] if isinstance(result, dict) \
-                        else result
-                except _FutureTimeout:
-                    # The worker cannot be preempted; abandon it (it will
-                    # finish in the background and its result is discarded).
-                    abandoned = True
-                    outcome = ObligationOutcome(
-                        obligation=obligations[i], status=TIMED_OUT,
-                        wall_seconds=self.timeout_seconds or 0.0,
-                        error=f"no result within {self.timeout_seconds}s")
-                    self.telemetry.record(
-                        ev.TIMED_OUT, obligations[i].kind,
-                        obligations[i].label, wall=outcome.wall_seconds)
-                outcomes[i] = outcome
-                if outcome.status == ERRORED and self.on_error == "raise":
-                    for later in futures.values():
-                        later.cancel()
-                    for event in done_events.values():
-                        event.set()   # release any chained waiters
-                    raise outcome._exception  # type: ignore[attr-defined]
-                if stop_on is not None and not stopped \
-                        and stop_on(outcome):
-                    stopped = True
-        finally:
-            if abandoned:
-                # Satellite of the failure taxonomy: an unresponsive
-                # worker left behind is telemetry, not a silent drop.
-                self.telemetry.record(
-                    ev.WORKER_ABANDONED, "exec", "backend:thread",
-                    detail="unresponsive worker thread abandoned at "
-                           "pool shutdown")
-            # wait=False so an abandoned (timed-out) worker does not block
-            # the collector; completed pools shut down immediately anyway.
-            pool.shutdown(wait=not abandoned)
-        if unusable is not None:
-            raise BackendUnusableError(
-                "thread", f"thread pool stopped accepting work: {unusable}")
-
-    # -- process path -------------------------------------------------------
-
     def _spawn_pool(self) -> ProcessPoolExecutor:
         last: Optional[BaseException] = None
         for _ in range(self.POOL_SPAWN_ATTEMPTS):
@@ -572,573 +583,48 @@ class ObligationScheduler:
         raise BackendUnusableError(
             "process", f"cannot (re)spawn worker pool: {last}")
 
-    def _run_process(self, obligations, stop_on, outcomes) -> None:
-        """Dispatcher over a ``ProcessPoolExecutor``.
+    def _dispatch(self, transport, obligations, stop_on, outcomes) -> None:
+        """The one dispatcher of the parallel backends.
 
-        Group chaining is enforced dispatcher-side: an obligation is only
-        submitted once its group predecessor has a terminal outcome, so
-        same-group work stays serial-in-order while distinct groups fan
-        out across worker processes.  Cache lookups happen in the parent
-        immediately before dispatch (a hit never ships to a worker) and
-        results are cached in the parent on receipt, so caching semantics
-        match the serial and thread backends exactly.
-
-        The hard per-obligation timeout is enforced worker-side by
-        ``SIGALRM`` (see :func:`_process_worker`); the parent keeps a
-        slack fallback deadline per future so even a worker that fails to
-        honor the alarm (or dies) cannot wedge the collector.
-
-        Crash recovery: a dead worker breaks the whole pool, so every
-        in-flight obligation is blamed once, the pool is respawned, and
-        the blamed obligations re-run *solo* (one in flight at a time)
-        before normal fan-out resumes.  Solo execution makes the second
-        verdict precise: an obligation that crashes while alone is the
-        killer, reaches ``QUARANTINE_AFTER`` blames, and is quarantined
-        with a ``crashed`` outcome; innocent bystanders complete their
-        solo run and are never blamed again (a finalized obligation is
-        never resubmitted).  Total crashes are therefore bounded by
-        ``QUARANTINE_AFTER * len(obligations)`` -- the run always
-        terminates.
-
-        Batched dispatch (DESIGN.md §18): when ``batch_size > 1``, small
-        payloads drained from the ready queue are bundled into
-        :class:`~repro.exec.payload.BatchPayload` units so one pool
-        round trip (one pickle of the shared ASTs, one queue slot)
-        covers many micro-obligations.  Admission is by *marginal*
-        pickled size under ``batch_bytes_cap`` (:class:`_BatchSizer`),
-        so large VCs keep their own dispatch unit.  Per-item timeout and
-        retry accounting run worker-side exactly as for solo dispatch;
-        a broken batch blames each member once and re-runs them solo
-        under the unchanged quarantine discipline, so fault semantics
-        are those of PR-4/PR-8.  Crash-blamed suspects always ship solo
-        -- a batch is never a blame unit of more than one verdict.
+        An obligation becomes ready once its group predecessor has a
+        terminal outcome.  A ready obligation settles on the parent when
+        it can (cache hit, payloadless) or joins a dispatch unit
+        (:meth:`_units`).  Every member of a lost unit is blamed once --
+        the parent cannot tell which member killed the worker -- and
+        re-runs solo, one in flight at a time, so a second loss assigns
+        guilt precisely: the killer is quarantined, bystanders finish,
+        and total losses stay below ``QUARANTINE_AFTER * len(obligations)``.
+        Each shipped unit records one ``dispatched`` event when its last
+        member settles -- returned, lost or abandoned alike.
         """
-        n = len(obligations)
-        remaining = [i for i in range(n) if outcomes[i] is None]
-        successors: Dict[int, List[int]] = {}
-        predecessor: Dict[int, Optional[int]] = {i: None for i in remaining}
-        last_in_group: Dict[str, int] = {}
-        for i in remaining:
-            group = obligations[i].group
-            if group is not None:
-                if group in last_in_group:
-                    predecessor[i] = last_in_group[group]
-                    successors.setdefault(last_in_group[group],
-                                          []).append(i)
-                last_in_group[group] = i
-
-        # A worker that ignores its alarm (or a timeout with no SIGALRM
-        # support) is abandoned once this much slack has passed.
-        fallback = None
-        if self.timeout_seconds is not None:
-            fallback = self.timeout_seconds * 1.5 + self.TIMEOUT_FALLBACK_SLACK
-
-        ready = deque(i for i in remaining if predecessor[i] is None)
-        suspects: deque = deque()            # crash-blamed, re-run solo
-        crash_blame: Dict[int, int] = {}
-        in_flight: Dict[object, tuple] = {}  # Future -> member indices
-        deadlines: Dict[object, float] = {}  # Future -> abandon time
-        sent_at: Dict[object, float] = {}    # Future -> dispatch time
-        finished = 0
-        target = len(remaining)
-        stopped = False
-        abandoned = False
-        barren_crashes = 0
-        raise_exc = None
-
-        def finalize(index: int, outcome: ObligationOutcome):
-            nonlocal finished, stopped, raise_exc
-            outcomes[index] = outcome
-            finished += 1
-            ready.extend(successors.get(index, ()))
-            if outcome.status == ERRORED and self.on_error == "raise" \
-                    and raise_exc is None:
-                raise_exc = getattr(
-                    outcome, "_exception",
-                    RuntimeError(outcome.error or "obligation errored"))
-            if stop_on is not None and not stopped and stop_on(outcome):
-                stopped = True
-
-        pool = self._spawn_pool()
-
-        def settle_local(index: int) -> bool:
-            """Cache hit or payloadless inline execution: True when the
-            obligation finalized without shipping to a worker."""
-            ob = obligations[index]
-            keyed = ob.cache_key is not None and self.cache is not None
-            if keyed:
-                t0 = time.perf_counter()
-                hit, value = self.cache.get(ob.cache_key, decode=ob.decode)
-                if hit:
-                    wall = time.perf_counter() - t0
-                    self.telemetry.record(ev.CACHED, ob.kind, ob.label,
-                                          wall=wall)
-                    finalize(index, ObligationOutcome(
-                        obligation=ob, status=CACHED, value=value,
-                        wall_seconds=wall))
-                    return True
-            if ob.payload is None:
-                # No declarative spec: run on the parent (serial
-                # semantics; _execute records its own telemetry).
-                finalize(index, self._execute(ob))
-                return True
-            return False
-
-        def ship_solo(index: int) -> bool:
-            """Ship one obligation as its own dispatch unit.  Returns
-            False when the pool broke at submission time (the obligation
-            never ran; the caller requeues it unblamed)."""
-            ob = obligations[index]
-            self.telemetry.record(ev.STARTED, ob.kind, ob.label)
-            try:
-                future = pool.submit(_process_worker, index, ob.payload,
-                                     self.retry_policy,
-                                     self.timeout_seconds, ob.label)
-            except BrokenExecutor:
-                return False
-            in_flight[future] = (index,)
-            sent_at[future] = time.perf_counter()
-            if fallback is not None:
-                deadlines[future] = time.perf_counter() + fallback
-            return True
-
-        def ship_batch(indices: List[int]) -> bool:
-            """Ship several small obligations as one
-            :class:`BatchPayload` dispatch unit (a singleton degenerates
-            to a solo dispatch, keeping batch futures >= 2 members).
-            The parent fallback deadline scales with the member count:
-            worker-side SIGALRM bounds each item individually, so the
-            batch's worst legitimate case is the sum of the per-item
-            budgets."""
-            if len(indices) == 1:
-                return ship_solo(indices[0])
-            batch = make_batch([
-                (i, obligations[i].payload, obligations[i].label,
-                 obligations[i].cache_key) for i in indices])
-            for i in indices:
-                ob = obligations[i]
-                self.telemetry.record(ev.STARTED, ob.kind, ob.label)
-            try:
-                future = pool.submit(_batch_worker, batch,
-                                     self.retry_policy,
-                                     self.timeout_seconds)
-            except BrokenExecutor:
-                return False
-            in_flight[future] = tuple(indices)
-            sent_at[future] = time.perf_counter()
-            if fallback is not None:
-                deadlines[future] = time.perf_counter() \
-                    + fallback * len(indices)
-            return True
-
-        def submit(index: int) -> bool:
-            """Dispatch one obligation solo: cache hit, inline
-            (payloadless), or its own worker shipment.  Returns False
-            when the pool broke at submission time (the obligation is
-            requeued, unblamed)."""
-            return settle_local(index) or ship_solo(index)
-
-        def recover(cause: BaseException):
-            """Blame and requeue everything that was in flight when the
-            pool broke, quarantine double-killers, respawn the pool.
-            Every member of an in-flight batch is blamed once -- the
-            parent cannot tell which member killed the worker -- and
-            re-runs solo, where the second crash assigns guilt
-            precisely; innocent batchmates complete their solo run
-            unblamed thereafter."""
-            nonlocal pool, barren_crashes
-            if in_flight:
-                barren_crashes = 0
-            else:
-                barren_crashes += 1
-                if barren_crashes >= self.BARREN_CRASH_LIMIT:
-                    raise BackendUnusableError(
-                        "process",
-                        f"worker pool keeps dying with nothing in flight "
-                        f"({cause})")
-            for future, members in list(in_flight.items()):
-                for index in members:
-                    ob = obligations[index]
-                    blame = crash_blame.get(index, 0) + 1
-                    crash_blame[index] = blame
-                    self.telemetry.record(
-                        ev.CRASHED, ob.kind, ob.label,
-                        detail=f"worker died ({type(cause).__name__}); "
-                               f"blame {blame}/{QUARANTINE_AFTER}")
-                    if blame >= QUARANTINE_AFTER:
-                        self.telemetry.record(
-                            ev.QUARANTINED, ob.kind, ob.label,
-                            detail=f"killed a worker {blame} times")
-                        finalize(index, ObligationOutcome(
-                            obligation=ob, status=CRASHED, attempts=blame,
-                            error=f"obligation killed a worker {blame} "
-                                  f"times ({cause}); quarantined"))
-                    else:
-                        suspects.append(index)
-            in_flight.clear()
-            deadlines.clear()
-            sent_at.clear()
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:   # noqa: BLE001 - broken pools may misbehave
-                pass
-            pool = self._spawn_pool()
-
-        try:
-            while finished < target:
-                # -- dispatch ------------------------------------------------
-                while not stopped and raise_exc is None:
-                    if suspects:
-                        # Solo re-verification: nothing else may fly until
-                        # each crash suspect has been re-tried alone.
-                        if in_flight:
-                            break
-                        index = suspects.popleft()
-                        if not submit(index):
-                            suspects.appendleft(index)
-                            recover(BrokenExecutor("pool broke at submit"))
-                            continue
-                        if in_flight:
-                            break   # exactly one suspect in flight
-                        continue    # finalized without flying (cache hit)
-                    if not ready:
-                        break
-                    # Batched fill (DESIGN.md §18): drain the ready
-                    # queue, settling cache hits and payloadless work
-                    # inline, bundling small payloads into BatchPayload
-                    # units, and shipping large ones solo.  ``chunk``
-                    # adapts the batch depth to the burst so a wide pool
-                    # is not starved by one deep batch.
-                    chunk = self.batch_size
-                    if chunk > 1:
-                        chunk = min(chunk,
-                                    max(1, -(-len(ready) // self.jobs)))
-                    join_cap = max(1, self.batch_bytes_cap
-                                   // self.batch_size)
-                    sizer = _BatchSizer()
-                    pending: List[int] = []
-                    broke = False
-
-                    def requeue(index: Optional[int] = None):
-                        # Pool broke at a ship: push the unsent work
-                        # back to the front of the queue, in order.
-                        if index is not None:
-                            ready.appendleft(index)
-                        ready.extendleft(reversed(pending))
-                        pending.clear()
-
-                    while ready and not stopped and raise_exc is None:
-                        index = ready.popleft()
-                        if settle_local(index):
-                            continue
-                        if chunk <= 1:
-                            if not ship_solo(index):
-                                requeue(index)
-                                broke = True
-                                break
-                            continue
-                        if len(pending) >= chunk \
-                                or sizer.total >= self.batch_bytes_cap:
-                            if not ship_batch(pending):
-                                requeue(index)
-                                broke = True
-                                break
-                            pending = []
-                            sizer.reset()
-                        size = sizer.measure(obligations[index].payload)
-                        if size is not None and pending \
-                                and size > join_cap:
-                            # Too big to join: flush, then let the item
-                            # re-open a fresh batch where its measured
-                            # size includes the objects its former
-                            # batchmates would have shared.
-                            if not ship_batch(pending):
-                                requeue(index)
-                                broke = True
-                                break
-                            pending = []
-                            sizer.reset()
-                            size = sizer.measure(obligations[index].payload)
-                        if size is None:
-                            # Unpicklable: ship solo so the submission
-                            # path's loud failure is preserved.
-                            if not ship_solo(index):
-                                requeue(index)
-                                broke = True
-                                break
-                            continue
-                        pending.append(index)
-                    if pending and not broke:
-                        if not ship_batch(pending):
-                            requeue()
-                            broke = True
-                    if broke:
-                        recover(BrokenExecutor("pool broke at submit"))
-                if finished >= target or raise_exc is not None:
-                    break
-                if not in_flight:
-                    break   # stopped/blocked: the tail is skipped by run()
-                # -- collect -------------------------------------------------
-                wait_for = None
-                if deadlines:
-                    wait_for = max(0.0, min(deadlines.values())
-                                   - time.perf_counter())
-                done, _ = _fut_wait(set(in_flight), timeout=wait_for,
-                                    return_when=FIRST_COMPLETED)
-                now = time.perf_counter()
-                for future in list(in_flight):
-                    if future in done:
-                        continue
-                    if deadlines.get(future, now + 1) <= now:
-                        # Fallback: the worker ignored its alarm or died
-                        # silently; abandon the future like the thread
-                        # backend abandons an overrun thread.  Every
-                        # member of an abandoned batch times out -- the
-                        # parent cannot retrieve partial results from an
-                        # unresponsive worker.
-                        members = in_flight.pop(future)
-                        deadlines.pop(future, None)
-                        sent_at.pop(future, None)
-                        abandoned = True
-                        for i in members:
-                            ob = obligations[i]
-                            self.telemetry.record(
-                                ev.TIMED_OUT, ob.kind, ob.label,
-                                wall=self.timeout_seconds or 0.0)
-                            finalize(i, ObligationOutcome(
-                                obligation=ob, status=TIMED_OUT,
-                                wall_seconds=self.timeout_seconds or 0.0,
-                                error=f"no result within "
-                                      f"{self.timeout_seconds}s (worker "
-                                      f"unresponsive)"))
-                broken_cause = None
-                for future in done:
-                    if future not in in_flight:
-                        continue   # abandoned above, or cleared by recovery
-                    members = in_flight[future]
-                    try:
-                        raw = future.result()
-                    except BrokenExecutor as exc:
-                        # Worker death poisons every in-flight future; keep
-                        # this one in ``in_flight`` so recover() blames and
-                        # requeues it with its poisoned peers.
-                        broken_cause = exc
-                        continue
-                    except Exception as exc:   # noqa: BLE001 - unpicklable result etc.
-                        in_flight.pop(future)
-                        deadlines.pop(future, None)
-                        sent_at.pop(future, None)
-                        for i in members:
-                            ob = obligations[i]
-                            self.telemetry.record(ev.ERRORED, ob.kind,
-                                                  ob.label,
-                                                  detail=str(exc))
-                            outcome = ObligationOutcome(
-                                obligation=ob, status=ERRORED,
-                                error=f"{type(exc).__name__}: {exc}")
-                            outcome._exception = exc   # type: ignore[attr-defined]
-                            finalize(i, outcome)
-                        continue
-                    in_flight.pop(future)
-                    deadlines.pop(future, None)
-                    t_sent = sent_at.pop(future, None)
-                    barren_crashes = 0
-                    # A solo future carries one result tuple; a batch
-                    # future carries one per entry (batches always have
-                    # >= 2 members; see ship_batch).
-                    results = raw if len(members) > 1 else (raw,)
-                    busy = 0.0
-                    for (i, status, wire, wall, attempts, retry_errors,
-                         exc_obj) in results:
-                        busy += wall
-                        ob = obligations[i]
-                        keyed = ob.cache_key is not None \
-                            and self.cache is not None
-                        for message in retry_errors:
-                            self.telemetry.record(ev.RETRIED, ob.kind,
-                                                  ob.label, detail=message)
-                        if status == "ok":
-                            value = ob.decode(wire) \
-                                if ob.decode is not None \
-                                else ob.payload.decode_result(wire)
-                            self.telemetry.record(
-                                ev.FINISHED, ob.kind, ob.label, wall=wall,
-                                detail="keyed" if keyed else "")
-                            if attempts > 1 or crash_blame.get(i):
-                                self.telemetry.record(
-                                    ev.RETRIED_OK, ob.kind, ob.label,
-                                    detail=f"succeeded on attempt "
-                                    f"{attempts}"
-                                    + (", after a worker crash"
-                                       if crash_blame.get(i) else ""))
-                            if keyed:
-                                self.cache.put(ob.cache_key, value,
-                                               encode=ob.encode)
-                            finalize(i, ObligationOutcome(
-                                obligation=ob, status=OK, value=value,
-                                wall_seconds=wall, attempts=attempts))
-                        elif status == "timed_out":
-                            self.telemetry.record(ev.TIMED_OUT, ob.kind,
-                                                  ob.label, wall=wall)
-                            finalize(i, ObligationOutcome(
-                                obligation=ob, status=TIMED_OUT,
-                                wall_seconds=wall, attempts=attempts,
-                                error=f"hard timeout after "
-                                      f"{self.timeout_seconds}s"))
-                        else:
-                            self.telemetry.record(ev.ERRORED, ob.kind,
-                                                  ob.label, wall=wall,
-                                                  detail=str(wire))
-                            outcome = ObligationOutcome(
-                                obligation=ob, status=ERRORED,
-                                wall_seconds=wall, attempts=attempts,
-                                error=str(wire))
-                            outcome._exception = exc_obj \
-                                if exc_obj is not None \
-                                else RuntimeError(str(wire))   # type: ignore[attr-defined]
-                            finalize(i, outcome)
-                    if t_sent is not None:
-                        # Dispatch overhead of the whole unit: round trip
-                        # minus the members' execution walls (satellite
-                        # telemetry; DESIGN.md §18).
-                        self.telemetry.record(
-                            ev.DISPATCHED, "exec",
-                            f"dispatch[{len(results)}]",
-                            wall=max(0.0, time.perf_counter() - t_sent
-                                     - busy),
-                            detail=f"items={len(results)}")
-                if broken_cause is not None:
-                    recover(broken_cause)
-            if raise_exc is not None:
-                raise raise_exc
-        finally:
-            if abandoned:
-                self.telemetry.record(
-                    ev.WORKER_ABANDONED, "exec", "backend:process",
-                    detail="unresponsive worker process abandoned at "
-                           "pool shutdown")
-            # cancel_futures drops queued work; wait unless an abandoned
-            # (unresponsive) worker would block shutdown indefinitely.
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
-
-    # -- remote path --------------------------------------------------------
-
-    def _remote_lease_timeout(self) -> Optional[float]:
-        """The coordinator-side bound on one lease.  Explicit
-        ``lease_timeout_seconds`` wins; otherwise it derives from the
-        per-obligation timeout (a worker holds up to
-        ``REMOTE_PER_WORKER_INFLIGHT`` leases, each bounded worker-side
-        by SIGALRM, so the lease bound covers the worst-case queue wait
-        plus slack); with neither, leases never expire -- matching the
-        process backend's stance when no timeout is configured."""
-        if self.lease_timeout_seconds is not None:
-            return self.lease_timeout_seconds
-        if self.timeout_seconds is not None:
-            return (self.REMOTE_PER_WORKER_INFLIGHT
-                    * self.timeout_seconds * 1.5
-                    + self.TIMEOUT_FALLBACK_SLACK)
-        return None
-
-    def _run_remote(self, obligations, stop_on, outcomes) -> None:
-        """Dispatcher over a farm of socket-connected worker processes
-        (DESIGN.md §16).
-
-        Mirrors :meth:`_run_process`: group chaining is enforced
-        dispatcher-side, cache lookups happen in the parent immediately
-        before dispatch, and results are cached in the parent on receipt
-        -- so caching semantics and verdicts match the local backends
-        exactly.  The differences are the failure unit and the cache
-        tier: a dead *connection* (worker crash, kill -9, network drop,
-        expired lease) blames exactly that worker's in-flight leases --
-        other workers keep computing -- and the blamed obligations re-run
-        solo (preferring a different worker) under the same
-        ``QUARANTINE_AFTER`` discipline as the process backend.  A host
-        that flaps (loses leases repeatedly) is quarantined by the
-        coordinator: its re-registrations are rejected.  When
-        ``remote_shared_cache`` is on, workers read through to this
-        scheduler's content-addressed cache before computing, so any
-        worker's verdict is every worker's warm hit.
-
-        The backend is unusable (degradation chain: remote→process) when
-        no worker joins within ``REMOTE_WORKER_GRACE`` seconds at
-        start-up, or when every worker has been lost or quarantined
-        mid-run and no replacement joins within another grace period.
-        """
-        from .remote.coordinator import RemoteCoordinator
-
-        n = len(obligations)
-        remaining = [i for i in range(n) if outcomes[i] is None]
+        remaining = [i for i, o in enumerate(outcomes) if o is None]
         if not remaining:
             return
+        ready: deque = deque()
         successors: Dict[int, List[int]] = {}
-        predecessor: Dict[int, Optional[int]] = {i: None for i in remaining}
         last_in_group: Dict[str, int] = {}
         for i in remaining:
             group = obligations[i].group
+            if group in last_in_group:
+                successors.setdefault(last_in_group[group], []).append(i)
+            else:
+                ready.append(i)
             if group is not None:
-                if group in last_in_group:
-                    predecessor[i] = last_in_group[group]
-                    successors.setdefault(last_in_group[group],
-                                          []).append(i)
                 last_in_group[group] = i
-
-        # The shared cache tier: workers ask the coordinator for a key
-        # before computing; the lookup runs against this scheduler's own
-        # cache, re-encoded to the obligation's wire form.
-        by_key: Dict[str, Obligation] = {}
-        for i in remaining:
-            ob = obligations[i]
-            if ob.cache_key is not None and ob.payload is not None:
-                by_key.setdefault(ob.cache_key, ob)
-
-        def cache_lookup(key):
-            ob = by_key.get(key)
-            if ob is None or self.cache is None:
-                return None
-            hit, value = self.cache.get(key, decode=ob.decode)
-            if not hit:
-                return None
-            try:
-                return ob.encode(value) if ob.encode is not None \
-                    else ob.payload.encode_result(value)
-            except Exception:   # noqa: BLE001 - a cache miss, not a fault
-                return None
-
-        coordinator = RemoteCoordinator(
-            listen=self.remote_listen,
-            dial=self.remote_workers,
-            cache_lookup=(cache_lookup if self.remote_shared_cache
-                          and self.cache is not None else None),
-            lease_timeout=self._remote_lease_timeout(),
-            per_worker=self.REMOTE_PER_WORKER_INFLIGHT)
-        try:
-            coordinator.start()
-        except OSError as exc:
-            raise BackendUnusableError(
-                "remote", f"cannot start coordinator: {exc}")
-        self.remote_bound_address = coordinator.bound_address
-
-        ready = deque(i for i in remaining if predecessor[i] is None)
-        suspects: deque = deque()            # lost-lease blamed, re-run solo
-        crash_blame: Dict[int, int] = {}
-        blamed_on: Dict[int, str] = {}       # index -> worker that lost it
-        in_flight: Dict[int, str] = {}       # index -> worker name
-        # Dispatch-unit bookkeeping for batched leases (DESIGN.md §18):
-        # each unit is [sent_at, live members, busy seconds, item count,
-        # poisoned].  A unit whose members all returned emits one
-        # DISPATCHED event carrying the round trip minus execution wall;
-        # a unit that lost a member (lease lost, worker dropped) is
-        # poisoned and emits nothing -- its timing measures a fault, not
-        # dispatch overhead.
-        unit_of: Dict[int, int] = {}         # index -> dispatch unit id
-        units: Dict[int, list] = {}
-        unit_seq = 0
+        formed: deque = deque()     # units formed, waiting for capacity
+        suspects: deque = deque()   # blamed, re-run solo
+        blame: Dict[int, int] = {}
+        blamed_on: Dict[int, str] = {}      # index -> scope that lost it
+        in_flight: Dict[int, _Unit] = {}
+        live: Dict[_Unit, None] = {}        # shipped units, in ship order
         finished = 0
-        target = len(remaining)
         stopped = False
-        raise_exc = None
+        raise_exc: Optional[BaseException] = None
 
-        def finalize(index: int, outcome: ObligationOutcome):
+        def halted() -> bool:
+            return stopped or raise_exc is not None
+
+        def finalize(index: int, outcome: ObligationOutcome) -> None:
             nonlocal finished, stopped, raise_exc
             outcomes[index] = outcome
             finished += 1
@@ -1152,338 +638,256 @@ class ObligationScheduler:
                 stopped = True
 
         def settle_local(index: int) -> bool:
-            """Cache hit or payloadless inline execution: True when the
-            obligation finalized without leasing to a worker."""
             ob = obligations[index]
-            keyed = ob.cache_key is not None and self.cache is not None
-            if keyed:
-                t0 = time.perf_counter()
-                hit, value = self.cache.get(ob.cache_key, decode=ob.decode)
-                if hit:
-                    wall = time.perf_counter() - t0
-                    self.telemetry.record(ev.CACHED, ob.kind, ob.label,
-                                          wall=wall)
-                    finalize(index, ObligationOutcome(
-                        obligation=ob, status=CACHED, value=value,
-                        wall_seconds=wall))
-                    return True
-            if ob.payload is None:
-                # No declarative spec: nothing to ship; run on the parent
-                # (serial semantics; _execute records its own telemetry).
-                finalize(index, self._execute(ob))
-                return True
-            return False
-
-        def new_unit(indices: tuple) -> None:
-            nonlocal unit_seq
-            unit_seq += 1
-            units[unit_seq] = [time.perf_counter(), len(indices), 0.0,
-                               len(indices), False]
-            for i in indices:
-                unit_of[i] = unit_seq
-
-        def unit_done(index: int, wall: float, lost: bool = False) -> None:
-            uid = unit_of.pop(index, None)
-            if uid is None:
-                return
-            unit = units[uid]
-            unit[1] -= 1
-            unit[2] += wall
-            if lost:
-                unit[4] = True
-            if unit[1] <= 0:
-                del units[uid]
-                if not unit[4]:
-                    self.telemetry.record(
-                        ev.DISPATCHED, "exec", f"dispatch[{unit[3]}]",
-                        wall=max(0.0, time.perf_counter() - unit[0]
-                                 - unit[2]),
-                        detail=f"items={unit[3]}")
-
-        def lease_solo(index: int) -> bool:
-            """Lease one obligation as its own dispatch unit.  Returns
-            False when the farm has no open slot (the caller waits for
-            results or joins)."""
-            ob = obligations[index]
-            avoid = {blamed_on[index]} if index in blamed_on else ()
-            # ``jobs`` caps the *total* in-flight obligations across the
-            # farm; work above the cap stays queued parent-side.
-            if len(in_flight) >= self.jobs:
+            outcome = self._execute(ob) if ob.payload is None \
+                else self._cached(ob)
+            if outcome is None:
                 return False
-            name = coordinator.lease(
-                index, ob.payload, self.retry_policy,
-                self.timeout_seconds, ob.label, ob.cache_key, avoid=avoid)
-            if name is None:
-                return False
-            self.telemetry.record(ev.STARTED, ob.kind, ob.label)
-            in_flight[index] = name
-            new_unit((index,))
+            finalize(index, outcome)
             return True
 
-        def lease_unit(indices: List[int]) -> bool:
-            """Lease several small obligations as one BatchPayload
-            dispatch unit (a singleton degenerates to a solo lease).
-            A batch occupies one lease slot on its worker -- that
-            amortization is the point -- but every member counts toward
-            the ``jobs`` in-flight cap."""
-            if len(indices) == 1:
-                return lease_solo(indices[0])
-            if len(in_flight) + len(indices) > self.jobs:
+        def ship(members: tuple) -> bool:
+            if transport.capacity is not None \
+                    and len(live) >= transport.capacity:
                 return False
-            batch = make_batch([
-                (i, obligations[i].payload, obligations[i].label,
-                 obligations[i].cache_key) for i in indices])
-            avoid = {blamed_on[i] for i in indices if i in blamed_on}
-            name = coordinator.lease_batch(
-                [i for i in indices], batch, self.retry_policy,
-                self.timeout_seconds, avoid=avoid)
-            if name is None:
+            avoid = {blamed_on[i] for i in members if i in blamed_on}
+            if not transport.ship(members, avoid):
                 return False
-            for i in indices:
-                ob = obligations[i]
-                self.telemetry.record(ev.STARTED, ob.kind, ob.label)
-                in_flight[i] = name
-            new_unit(tuple(indices))
+            unit = _Unit(members)
+            live[unit] = None
+            for i in members:
+                self.telemetry.record(ev.STARTED, obligations[i].kind,
+                                      obligations[i].label)
+                in_flight[i] = unit
             return True
 
-        def submit(index: int) -> bool:
-            """Dispatch one obligation solo: cache hit, inline
-            (payloadless), or its own lease (used for crash suspects and
-            with batching off)."""
-            return settle_local(index) or lease_solo(index)
+        def flush() -> None:
+            while formed and not halted() and ship(formed[0]):
+                formed.popleft()
+
+        def pump() -> None:
+            while not halted():
+                if suspects:
+                    # Nothing else may fly until each suspect has been
+                    # re-tried alone.
+                    if in_flight:
+                        return
+                    if settle_local(suspects[0]):
+                        suspects.popleft()
+                        continue
+                    if ship((suspects[0],)):
+                        suspects.popleft()
+                    return
+                if not ready:
+                    flush()
+                    return
+                for unit in self._units(ready, obligations, settle_local,
+                                        halted):
+                    formed.append(unit)
+                    flush()
+
+        def unit_settled(unit: _Unit) -> None:
+            del live[unit]
+            items = len(unit.members)
+            # Dispatch overhead: round trip minus the members' execution.
+            self.telemetry.record(
+                ev.DISPATCHED, "exec", f"dispatch[{items}]",
+                wall=max(0.0, time.perf_counter() - unit.sent - unit.busy),
+                detail=f"items={items}", items=items)
+
+        def settle(index: int, wall: float = 0.0) -> None:
+            unit = in_flight.pop(index)
+            unit.live -= 1
+            unit.busy += wall
+            if not unit.live:
+                unit_settled(unit)
 
         try:
-            if not coordinator.wait_for_workers(
-                    1, self.REMOTE_WORKER_GRACE):
-                raise BackendUnusableError(
-                    "remote",
-                    f"no workers joined within "
-                    f"{self.REMOTE_WORKER_GRACE}s")
-            while finished < target:
-                # -- dispatch ------------------------------------------------
-                while not stopped and raise_exc is None:
-                    if suspects:
-                        # Solo re-verification: nothing else may fly until
-                        # each blamed suspect has been re-tried alone.
-                        if in_flight:
-                            break
-                        if not submit(suspects[0]):
-                            break
-                        suspects.popleft()
-                        if in_flight:
-                            break   # exactly one suspect in flight
-                        continue    # finalized without flying (cache hit)
-                    if not ready:
-                        break
-                    if len(in_flight) >= self.jobs:
-                        break
-                    # Batched fill (DESIGN.md §18), mirroring the process
-                    # backend: settle cache hits and payloadless work
-                    # inline, bundle small payloads into one lease,
-                    # ship large ones solo.  Chunk depth adapts to the
-                    # burst and the farm width.
-                    chunk = self.batch_size
-                    if chunk > 1:
-                        width = max(1, coordinator.live_workers()
-                                    * self.REMOTE_PER_WORKER_INFLIGHT)
-                        chunk = min(chunk,
-                                    max(1, -(-len(ready) // width)))
-                    join_cap = max(1, self.batch_bytes_cap
-                                   // self.batch_size)
-                    sizer = _BatchSizer()
-                    pending: List[int] = []
-                    blocked = False
-
-                    def requeue(index: Optional[int] = None):
-                        # No open slot: push the unleased work back to
-                        # the front of the queue, in order.
-                        if index is not None:
-                            ready.appendleft(index)
-                        ready.extendleft(reversed(pending))
-                        pending.clear()
-
-                    while ready and not stopped and raise_exc is None:
-                        if len(in_flight) + len(pending) >= self.jobs:
-                            break
-                        index = ready.popleft()
-                        if settle_local(index):
-                            continue
-                        if chunk <= 1:
-                            if not lease_solo(index):
-                                requeue(index)
-                                blocked = True
-                                break
-                            continue
-                        if len(pending) >= chunk \
-                                or sizer.total >= self.batch_bytes_cap:
-                            if not lease_unit(pending):
-                                requeue(index)
-                                blocked = True
-                                break
-                            pending = []
-                            sizer.reset()
-                        size = sizer.measure(obligations[index].payload)
-                        if size is not None and pending \
-                                and size > join_cap:
-                            if not lease_unit(pending):
-                                requeue(index)
-                                blocked = True
-                                break
-                            pending = []
-                            sizer.reset()
-                            size = sizer.measure(obligations[index].payload)
-                        if size is None:
-                            # Unpicklable: lease solo so the shipping
-                            # path's loud failure is preserved.
-                            if not lease_solo(index):
-                                requeue(index)
-                                blocked = True
-                                break
-                            continue
-                        pending.append(index)
-                    if pending and not blocked:
-                        if not lease_unit(pending):
-                            requeue()
+            transport.start()
+            while finished < len(remaining):
+                pump()
+                if finished >= len(remaining) or raise_exc is not None:
                     break
-                if finished >= target or raise_exc is not None:
-                    break
-                if not in_flight and not suspects and not ready:
+                if not in_flight and (stopped or not (formed or suspects)):
                     break   # stopped: the tail is skipped by run()
-                if not in_flight and coordinator.live_workers() == 0:
-                    # Pending work, no workers left (all lost or
-                    # quarantined): grant joiners one grace period.
-                    if not coordinator.wait_for_workers(
-                            1, self.REMOTE_WORKER_GRACE):
-                        raise BackendUnusableError(
-                            "remote",
-                            "every worker was lost or quarantined and no "
-                            f"replacement joined within "
-                            f"{self.REMOTE_WORKER_GRACE}s")
-                    continue
-                # -- collect -------------------------------------------------
-                event = coordinator.poll(timeout=0.25)
-                if event is None:
-                    continue
-                if event[0] == "result":
-                    _, index, result, name, served = event
-                    if index not in in_flight:
-                        continue   # stale: already blamed and requeued
-                    del in_flight[index]
-                    ob = obligations[index]
-                    keyed = ob.cache_key is not None \
-                        and self.cache is not None
-                    (_, status, wire, wall, attempts, retry_errors,
-                     exc_obj) = result
-                    unit_done(index, wall)
-                    for message in retry_errors:
-                        self.telemetry.record(ev.RETRIED, ob.kind,
-                                              ob.label, detail=message)
-                    if status == "ok":
-                        try:
-                            value = ob.decode(wire) \
-                                if ob.decode is not None \
-                                else ob.payload.decode_result(wire)
-                        except Exception as exc:   # noqa: BLE001 - bad wire data
-                            self.telemetry.record(
-                                ev.ERRORED, ob.kind, ob.label,
-                                detail=f"undecodable result from "
-                                       f"{name}: {exc}")
-                            outcome = ObligationOutcome(
-                                obligation=ob, status=ERRORED,
-                                error=f"undecodable result from "
-                                      f"{name}: {exc}")
-                            outcome._exception = exc   # type: ignore[attr-defined]
-                            finalize(index, outcome)
+                for event in transport.poll(not in_flight):
+                    kind = event[0]
+                    if kind == "result":
+                        _, index, result, worker, served = event
+                        if index in in_flight:   # else stale: requeued
+                            settle(index, result[3])
+                            finalize(index, self._land(
+                                obligations[index], result, worker, served,
+                                index in blame))
+                        continue
+                    for index in event[1]:
+                        if index not in in_flight:
                             continue
-                        self.telemetry.record(
-                            ev.FINISHED, ob.kind, ob.label, wall=wall,
-                            detail=f"worker={name} served={served}"
-                            + (" keyed" if keyed else ""))
-                        if attempts > 1 or crash_blame.get(index):
-                            self.telemetry.record(
-                                ev.RETRIED_OK, ob.kind, ob.label,
-                                detail=f"succeeded on attempt {attempts}"
-                                + (", after a lost worker"
-                                   if crash_blame.get(index) else ""))
-                        if keyed:
-                            self.cache.put(ob.cache_key, value,
-                                           encode=ob.encode)
-                        finalize(index, ObligationOutcome(
-                            obligation=ob, status=OK, value=value,
-                            wall_seconds=wall, attempts=attempts))
-                    elif status == "timed_out":
-                        self.telemetry.record(ev.TIMED_OUT, ob.kind,
-                                              ob.label, wall=wall)
-                        finalize(index, ObligationOutcome(
-                            obligation=ob, status=TIMED_OUT,
-                            wall_seconds=wall, attempts=attempts,
-                            error=f"hard timeout after "
-                                  f"{self.timeout_seconds}s on {name}"))
-                    else:
-                        self.telemetry.record(ev.ERRORED, ob.kind,
-                                              ob.label, wall=wall,
-                                              detail=str(wire))
-                        outcome = ObligationOutcome(
-                            obligation=ob, status=ERRORED,
-                            wall_seconds=wall, attempts=attempts,
-                            error=str(wire))
-                        outcome._exception = exc_obj \
-                            if exc_obj is not None \
-                            else RuntimeError(str(wire))   # type: ignore[attr-defined]
-                        finalize(index, outcome)
-                elif event[0] == "lost":
-                    _, name, indices, reason = event
-                    for index in indices:
-                        if in_flight.pop(index, None) is None:
-                            continue
-                        unit_done(index, 0.0, lost=True)
+                        settle(index)
                         ob = obligations[index]
-                        blame = crash_blame.get(index, 0) + 1
-                        crash_blame[index] = blame
-                        blamed_on[index] = name
-                        self.telemetry.record(
-                            ev.CRASHED, ob.kind, ob.label,
-                            detail=f"worker {name} lost ({reason}); "
-                                   f"blame {blame}/{QUARANTINE_AFTER}")
-                        if blame >= QUARANTINE_AFTER:
+                        if kind == "lost":
+                            scope, what = event[2], event[3]
+                            count = blame[index] = blame.get(index, 0) + 1
+                            if scope is not None:
+                                blamed_on[index] = scope
+                            self.telemetry.record(
+                                ev.CRASHED, ob.kind, ob.label,
+                                detail=f"{what}; blame "
+                                       f"{count}/{QUARANTINE_AFTER}")
+                            if count < QUARANTINE_AFTER:
+                                suspects.append(index)
+                                continue
                             self.telemetry.record(
                                 ev.QUARANTINED, ob.kind, ob.label,
-                                detail=f"lost a worker {blame} times")
-                            finalize(index, ObligationOutcome(
+                                detail=f"lost a worker {count} times")
+                            outcome = ObligationOutcome(
                                 obligation=ob, status=CRASHED,
-                                attempts=blame,
-                                error=f"obligation lost a worker {blame} "
-                                      f"times ({reason}); quarantined"))
+                                attempts=count,
+                                error=f"obligation lost a worker {count} "
+                                      f"times ({what}); quarantined")
+                        elif kind == "timed_out":
+                            wall = self.timeout_seconds or 0.0
+                            self.telemetry.record(ev.TIMED_OUT, ob.kind,
+                                                  ob.label, wall=wall)
+                            outcome = ObligationOutcome(
+                                obligation=ob, status=TIMED_OUT,
+                                wall_seconds=wall,
+                                error=f"no result within "
+                                      f"{self.timeout_seconds}s (worker "
+                                      f"unresponsive)")
                         else:
-                            suspects.append(index)
-                elif event[0] == "quarantined":
-                    _, name, reason = event
-                    self.telemetry.record(ev.QUARANTINED, "exec",
-                                          f"worker:{name}", detail=reason)
-                # "joined" events need no action: capacity is re-checked
-                # at the top of the dispatch loop.
+                            outcome = self._errored(ob, event[2])
+                        finalize(index, outcome)
             if raise_exc is not None:
                 raise raise_exc
         finally:
-            coordinator.stop()
+            for unit in list(live):
+                unit_settled(unit)   # still out when the run aborted
+            transport.close()
+
+    def _units(self, ready: deque, obligations, settle_local, halted):
+        """Drain the ready queue into dispatch units (DESIGN.md §18):
+        units of at most ``min(batch_size, ceil(len(ready) / jobs))``
+        small payloads, so a burst spreads over ``jobs`` workers, admitted
+        by *marginal* pickled size (:class:`_BatchSizer`) so large VCs
+        ship alone.  Composition depends on the queue's order, ``jobs``
+        and the batching knobs only; transport capacity decides *when* a
+        unit ships, never what it holds."""
+        chunk = min(self.batch_size, -(-len(ready) // self.jobs))
+        join_cap = max(1, self.batch_bytes_cap // self.batch_size)
+        sizer = _BatchSizer()
+        pending: List[int] = []
+        while ready and not halted():
+            index = ready.popleft()
+            if settle_local(index):
+                continue
+            if chunk == 1:
+                yield (index,)
+                continue
+            if pending and (len(pending) >= chunk
+                            or sizer.total >= self.batch_bytes_cap):
+                yield tuple(pending)
+                pending = []
+                sizer.reset()
+            payload = obligations[index].payload
+            size = sizer.measure(payload)
+            if size is not None and pending and size > join_cap:
+                # Too big to join: flush, then let the item re-open a
+                # fresh batch where its measured size includes the
+                # objects its former batchmates would have shared.
+                yield tuple(pending)
+                pending = []
+                sizer.reset()
+                size = sizer.measure(payload)
+            if size is None:
+                # Unpicklable: ship solo so the submission path's loud
+                # failure is preserved.
+                yield (index,)
+                continue
+            pending.append(index)
+        if pending:
+            yield tuple(pending)
 
     # -- one obligation -----------------------------------------------------
 
-    def _skip(self, ob: Obligation) -> ObligationOutcome:
-        self.telemetry.record(ev.SKIPPED, ob.kind, ob.label)
-        return ObligationOutcome(obligation=ob, status=SKIPPED)
+    def _errored(self, ob: Obligation, exc: BaseException,
+                 error: Optional[str] = None, wall: float = 0.0,
+                 attempts: int = 0) -> ObligationOutcome:
+        """An ``errored`` outcome carrying ``exc`` for ``on_error='raise'``;
+        ``error`` defaults to ``"ExcType: message"``."""
+        self.telemetry.record(ev.ERRORED, ob.kind, ob.label, wall=wall,
+                              detail=error or str(exc))
+        outcome = ObligationOutcome(
+            obligation=ob, status=ERRORED, wall_seconds=wall,
+            attempts=attempts,
+            error=error or f"{type(exc).__name__}: {exc}")
+        outcome._exception = exc   # type: ignore[attr-defined]
+        return outcome
+
+    def _cached(self, ob: Obligation) -> Optional[ObligationOutcome]:
+        """The cached outcome of ``ob``, or None on a miss (or no key)."""
+        if ob.cache_key is None or self.cache is None:
+            return None
+        started = time.perf_counter()
+        hit, value = self.cache.get(ob.cache_key, decode=ob.decode)
+        if not hit:
+            return None
+        wall = time.perf_counter() - started
+        self.telemetry.record(ev.CACHED, ob.kind, ob.label, wall=wall)
+        return ObligationOutcome(obligation=ob, status=CACHED, value=value,
+                                 wall_seconds=wall)
+
+    def _finished(self, ob: Obligation, value, wall: float, attempts: int,
+                  where: str = "", recovered: str = "") -> ObligationOutcome:
+        """Record a computed result, cache it, and wrap it up."""
+        keyed = ob.cache_key is not None and self.cache is not None
+        self.telemetry.record(
+            ev.FINISHED, ob.kind, ob.label, wall=wall,
+            detail=" ".join(filter(None, (where, "keyed" if keyed else ""))))
+        if attempts > 1 or recovered:
+            self.telemetry.record(
+                ev.RETRIED_OK, ob.kind, ob.label,
+                detail=f"succeeded on attempt {attempts}{recovered}")
+        if keyed:
+            self.cache.put(ob.cache_key, value, encode=ob.encode)
+        return ObligationOutcome(obligation=ob, status=OK, value=value,
+                                 wall_seconds=wall, attempts=attempts)
+
+    def _land(self, ob: Obligation, result: tuple, worker: Optional[str],
+              served: Optional[str], blamed: bool) -> ObligationOutcome:
+        """Turn one worker result tuple (see :func:`_process_worker`) into
+        an outcome, decoding the value and recording telemetry."""
+        _, status, wire, wall, attempts, retry_errors, exc_obj = result
+        for message in retry_errors:
+            self.telemetry.record(ev.RETRIED, ob.kind, ob.label,
+                                  detail=message)
+        if status == "ok":
+            try:
+                value = ob.decode(wire) if ob.decode is not None \
+                    else ob.payload.decode_result(wire)
+            except Exception as exc:   # noqa: BLE001 - bad wire data
+                source = f" from {worker}" if worker else ""
+                return self._errored(
+                    ob, exc, f"undecodable result{source}: {exc}")
+            return self._finished(
+                ob, value, wall, attempts,
+                where=f"worker={worker} served={served}" if worker else "",
+                recovered=", after a lost worker" if blamed else "")
+        if status == "timed_out":
+            self.telemetry.record(ev.TIMED_OUT, ob.kind, ob.label, wall=wall)
+            return ObligationOutcome(
+                obligation=ob, status=TIMED_OUT, wall_seconds=wall,
+                attempts=attempts,
+                error=f"hard timeout after {self.timeout_seconds}s"
+                      + (f" on {worker}" if worker else ""))
+        return self._errored(
+            ob, exc_obj if exc_obj is not None else RuntimeError(str(wire)),
+            str(wire), wall=wall, attempts=attempts)
 
     def _execute(self, ob: Obligation) -> ObligationOutcome:
-        keyed = ob.cache_key is not None and self.cache is not None
-        if keyed:
-            started = time.perf_counter()
-            hit, value = self.cache.get(ob.cache_key, decode=ob.decode)
-            if hit:
-                wall = time.perf_counter() - started
-                self.telemetry.record(ev.CACHED, ob.kind, ob.label,
-                                      wall=wall)
-                return ObligationOutcome(obligation=ob, status=CACHED,
-                                         value=value, wall_seconds=wall)
+        cached = self._cached(ob)
+        if cached is not None:
+            return cached
         self.telemetry.record(ev.STARTED, ob.kind, ob.label)
         attempts = 0
         started = time.perf_counter()
@@ -1500,21 +904,8 @@ class ObligationScheduler:
                     if pause:
                         time.sleep(pause)
                     continue
-                wall = time.perf_counter() - started
-                self.telemetry.record(ev.ERRORED, ob.kind, ob.label,
-                                      wall=wall, detail=str(exc))
-                outcome = ObligationOutcome(
-                    obligation=ob, status=ERRORED, wall_seconds=wall,
-                    attempts=attempts, error=f"{type(exc).__name__}: {exc}")
-                outcome._exception = exc   # type: ignore[attr-defined]
-                return outcome
-        wall = time.perf_counter() - started
-        self.telemetry.record(ev.FINISHED, ob.kind, ob.label, wall=wall,
-                              detail="keyed" if keyed else "")
-        if attempts > 1:
-            self.telemetry.record(ev.RETRIED_OK, ob.kind, ob.label,
-                                  detail=f"succeeded on attempt {attempts}")
-        if keyed:
-            self.cache.put(ob.cache_key, value, encode=ob.encode)
-        return ObligationOutcome(obligation=ob, status=OK, value=value,
-                                 wall_seconds=wall, attempts=attempts)
+                return self._errored(ob, exc,
+                                     wall=time.perf_counter() - started,
+                                     attempts=attempts)
+        return self._finished(ob, value, time.perf_counter() - started,
+                              attempts)

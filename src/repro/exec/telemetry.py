@@ -80,7 +80,7 @@ class ExecStats:
     #: fault-tolerance taxonomy (DESIGN.md §12) ------------------------------
     crashes: int = 0            # worker-killing crash blames (non-terminal)
     quarantined: int = 0        # obligations pulled after a second kill
-    degraded: int = 0           # backend fallbacks (process→thread→serial)
+    degraded: int = 0           # backend fallbacks (remote→process→serial)
     retried_ok: int = 0         # obligations that succeeded after retries
     abandoned_workers: int = 0  # unresponsive workers left behind at shutdown
     wall_seconds: float = 0.0       # telemetry epoch -> last event
@@ -193,7 +193,8 @@ class Telemetry:
     # -- recording ----------------------------------------------------------
 
     def record(self, event: str, kind: str, label: str,
-               wall: float = 0.0, detail: str = "") -> ObligationEvent:
+               wall: float = 0.0, detail: str = "",
+               items: int = 0) -> ObligationEvent:
         with self._lock:
             if event == SUBMITTED:
                 self._depth += 1
@@ -203,7 +204,8 @@ class Telemetry:
             ev = ObligationEvent(
                 event=event, kind=kind, label=label,
                 t=time.perf_counter() - self._epoch,
-                wall=wall, queue_depth=self._depth, detail=detail)
+                wall=wall, queue_depth=self._depth, detail=detail,
+                items=items)
             self._events.append(ev)
             subscribers = list(self._subscribers) if self._subscribers \
                 else None
@@ -286,15 +288,9 @@ class Telemetry:
                 stats.abandoned_workers += 1
             elif ev.event == DISPATCHED:
                 dispatch_walls.append(ev.wall)
-                items = 1
-                if ev.detail.startswith("items="):
-                    try:
-                        items = int(ev.detail[len("items="):])
-                    except ValueError:
-                        pass
-                if items > 1:
+                if ev.items > 1:
                     stats.batched += 1
-                    stats.batch_items += items
+                    stats.batch_items += ev.items
         walls.sort()
         stats.p50_seconds = _percentile(walls, 0.50)
         stats.p95_seconds = _percentile(walls, 0.95)

@@ -8,7 +8,7 @@ meant for small terms (specs, simplified VCs, test output).
 Both follow the package-wide iterative traversal discipline (DESIGN.md
 section 10): rendering depth is bounded by the explicit work stack, never by
 the interpreter stack, so error paths can print arbitrarily deep VCs even
-from small-stack scheduler worker threads.
+from small-stack worker threads.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ a :class:`RewriteBudgetExceeded` exception, which the examiner maps to the
 paper's "the VCs were too complicated to be handled by the SPARK tools".
 
 The traversal is **iterative** (see :mod:`repro.logic.traversal`): the
-engine runs under the obligation scheduler's worker threads, whose C
-stacks cannot absorb term-deep native recursion.  Normalization depth is
-therefore bounded by heap, not by the interpreter stack, and no
-recursion-limit escape hatch exists anywhere in the package.
+engine runs on worker threads (the serve daemon's, a library caller's
+own), whose C stacks cannot absorb term-deep native recursion.
+Normalization depth is therefore bounded by heap, not by the interpreter
+stack, and no recursion-limit escape hatch exists anywhere in the
+package.
 
 Two hot-path optimizations sit on top (DESIGN.md §13), both off-switchable
 back to the retained linear-scan reference:

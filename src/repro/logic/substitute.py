@@ -12,7 +12,7 @@ Two flavours are provided:
 
 Both walk the term with the generator trampoline from
 :mod:`repro.logic.traversal`, so substitution into arbitrarily deep terms
-is safe on the small fixed C stacks of scheduler worker threads.
+is safe on the small fixed C stacks of worker threads.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
 """Stack-safe traversal primitives for the term engine.
 
 Every module that walks :class:`~repro.logic.terms.Term` structure must do
-so with **bounded Python recursion**: the obligation scheduler
-(:mod:`repro.exec`) discharges VCs from pool worker threads whose C stacks
+so with **bounded Python recursion**: VCs are discharged on worker threads
+(the serve daemon's request threads, a library caller's own) whose C stacks
 are small and fixed, and a deep VC walked with native recursion kills the
 whole interpreter (a segfault, not a Python exception), bypassing the
 budget machinery that is supposed to map resource exhaustion to an honest
 "undischarged".  No module under ``src/`` may raise the interpreter
-recursion limit -- CI enforces this -- so recursive-looking traversals
-are expressed with the two primitives here instead.
+recursion limit -- CI enforces this -- so recursive-looking traversals are
+expressed with the two primitives here instead.
 
 ``run_trampoline``
     Drives a *generator-recursive* function: a generator that, wherever

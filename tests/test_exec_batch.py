@@ -135,7 +135,8 @@ class TestBatchWorker:
 
 class TestBatchedSchedulingIdentity:
     @pytest.mark.parametrize("backend,jobs", [
-        ("serial", 1), ("thread", 3), ("process", 2)])
+        ("serial", 1), pytest.param("process", 3, id="jobs3-process"),
+        ("process", 2)])
     def test_outcomes_identical_across_batch_sizes(self, backend, jobs):
         reference = None
         for batch_size in (1, 2, 16):
@@ -162,17 +163,6 @@ class TestBatchedSchedulingIdentity:
         assert outcomes[3].status == "errored"
         ok = [o for i, o in enumerate(outcomes) if i != 3]
         assert all(o.ok for o in ok)
-
-    def test_thread_timeout_disables_batching(self):
-        """With a per-obligation timeout the thread backend waits on one
-        future per obligation (the future wait *is* the timeout
-        instrument), so batching must stand down."""
-        telemetry = Telemetry()
-        outcomes = ObligationScheduler(
-            jobs=2, backend="thread", cache=False, telemetry=telemetry,
-            timeout_seconds=5.0, batch_size=8).run(_obs(6))
-        assert [o.value for o in outcomes] == [i * i for i in range(6)]
-        assert telemetry.stats().batched == 0
 
 
 class TestDispatchTelemetry:
@@ -228,7 +218,7 @@ class TestBatchKnobValidation:
             ObligationScheduler(jobs=1, backend="serial", **kwargs)
 
     def test_config_json_round_trip(self):
-        config = ExecConfig(jobs=3, backend="thread", batch_size=7,
+        config = ExecConfig(jobs=3, backend="process", batch_size=7,
                             batch_bytes_cap=123456)
         clone = ExecConfig.from_json(json.loads(
             json.dumps(config.to_json())))

@@ -10,7 +10,6 @@ from repro.exec import (
     ExecConfig, ObligationScheduler, RetryPolicy, Telemetry,
     coerce_exec_config,
 )
-from repro.exec.config import LEGACY_EXEC_KWARGS, reject_legacy_exec_kwargs
 from repro.lang import analyze, parse_package
 
 from tests.test_exec_scheduler import SRC
@@ -20,7 +19,7 @@ class TestExecConfig:
     def test_defaults_match_historical_behaviour(self):
         config = ExecConfig()
         assert config.jobs == 1
-        assert config.backend == "thread"
+        assert config.backend == "process"
         assert config.cache is None
         assert config.telemetry is None
         assert config.timeout_seconds is None
@@ -46,7 +45,7 @@ class TestExecConfig:
         assert scheduler.cache is None            # cache=False disables
         assert scheduler.telemetry is telemetry
         assert scheduler.timeout_seconds == 2.0
-        assert scheduler.retries == 1
+        assert scheduler.retry_policy.retries == 1
         assert scheduler.on_error == "record"
 
     def test_scheduler_derivation_remote_fields(self):
@@ -92,7 +91,7 @@ class TestExecConfig:
         scheduler = ExecConfig(jobs=2, retries=policy, cache=False,
                                telemetry=Telemetry()).scheduler()
         assert scheduler.retry_policy is policy
-        assert scheduler.retries == 3            # compat int view
+        assert scheduler.retry_policy.retries == 3
 
     def test_hashable_and_frozen(self):
         config = ExecConfig(jobs=2)
@@ -199,63 +198,56 @@ class TestCoercion:
 
 
 class TestLegacyKwargsRemoved:
-    """The PR-3 deprecation shims are gone: every entry point now raises a
-    hard ``TypeError`` with the ``exec=ExecConfig(...)`` migration hint."""
+    """The old bare keywords (``jobs=``/``cache=``/``telemetry=``/...) are not
+    parameters of any entry point: passing one is Python's plain
+    ``TypeError`` for an unexpected keyword argument."""
 
-    def test_reject_helper_spells_out_the_migration(self):
-        with pytest.raises(TypeError) as exc:
-            reject_legacy_exec_kwargs("Owner", {"jobs": 4, "cache": False})
-        message = str(exc.value)
-        assert message.startswith("Owner: ")
-        assert "removed" in message
-        assert "exec=ExecConfig(cache=False, jobs=4)" in message
+    @pytest.mark.parametrize("name", ("jobs", "cache", "telemetry",
+                                      "timeout_seconds",
+                                      "obligation_timeout"))
+    def test_every_legacy_name_is_caught(self, name):
+        from repro.prover import ImplementationProof
 
-    def test_obligation_timeout_maps_to_timeout_seconds(self):
-        with pytest.raises(TypeError,
-                           match=r"exec=ExecConfig\(timeout_seconds=30\.0\)"):
-            reject_legacy_exec_kwargs("P", {"obligation_timeout": 30.0})
+        typed = analyze(parse_package(SRC))
+        with pytest.raises(TypeError, match=f"unexpected keyword argument "
+                                            f"'{name}'"):
+            ImplementationProof(typed, **{name: 1})
 
     def test_unknown_keyword_gets_the_stock_message(self):
+        from repro.core import verify_aes
+
         with pytest.raises(TypeError, match="unexpected keyword"):
-            reject_legacy_exec_kwargs("P", {"jorbs": 4})
-
-    def test_empty_kwargs_is_a_no_op(self):
-        reject_legacy_exec_kwargs("P", {})
-
-    @pytest.mark.parametrize("name", LEGACY_EXEC_KWARGS)
-    def test_every_legacy_name_is_caught(self, name):
-        with pytest.raises(TypeError, match="legacy"):
-            reject_legacy_exec_kwargs("P", {name: 1})
+            verify_aes(jorbs=4)
 
     def test_implementation_proof_rejects_legacy(self):
         from repro.prover import ImplementationProof
 
         typed = analyze(parse_package(SRC))
-        with pytest.raises(TypeError, match="ImplementationProof.*legacy"):
+        with pytest.raises(TypeError, match="ImplementationProof"):
             ImplementationProof(typed, jobs=2, cache=False)
 
     def test_prove_implication_rejects_legacy(self):
         from repro.implication import prove_implication
 
-        with pytest.raises(TypeError, match="prove_implication.*legacy"):
+        with pytest.raises(TypeError, match="prove_implication"):
             prove_implication(None, None, jobs=2)
 
     def test_refactoring_engine_rejects_legacy(self):
         from repro.refactor import RefactoringEngine
 
-        with pytest.raises(TypeError, match="RefactoringEngine.*legacy"):
+        with pytest.raises(TypeError, match="RefactoringEngine"):
             RefactoringEngine(None, observables=[], jobs=2)
 
     def test_echo_verifier_rejects_legacy(self):
         from repro.core import EchoVerifier
 
-        with pytest.raises(TypeError, match="EchoVerifier.*legacy"):
+        with pytest.raises(TypeError, match="EchoVerifier"):
             EchoVerifier(None, None, observables=[], telemetry=Telemetry())
 
     def test_verify_aes_rejects_legacy(self):
         from repro.core import verify_aes
 
-        with pytest.raises(TypeError, match="verify_aes.*legacy"):
+        with pytest.raises(TypeError, match="verify_aes"):
             verify_aes(jobs=8)
 
     def test_harness_tables_reject_legacy(self):

@@ -22,7 +22,6 @@ from repro.exec import (
     BackendUnusableError, CallPayload, ExecConfig, Obligation,
     ObligationPayload, ObligationScheduler, RetryPolicy, Telemetry,
 )
-from repro.exec import scheduler as scheduler_mod
 
 from tests.test_exec_scheduler import outcome_key
 
@@ -272,7 +271,7 @@ class TestCrashRecovery:
     def test_transient_raise_recovers_on_all_backends(self, tmp_path):
         """A thunk/payload that raises once is absorbed by the retry
         policy on every backend and recorded as ``retried_ok``."""
-        for backend, jobs in (("serial", 1), ("thread", 2), ("process", 2)):
+        for backend, jobs in (("serial", 1), ("process", 2)):
             telemetry = Telemetry()
             state = tmp_path / backend
             state.mkdir()
@@ -294,11 +293,6 @@ def _obs(n=4):
                        thunk=lambda i=i: i * i) for i in range(n)]
 
 
-class _NoThreads:
-    def __init__(self, *a, **kw):
-        raise RuntimeError("can't start new thread (injected)")
-
-
 class TestDegradation:
     @pytest.fixture
     def no_process_pool(self, monkeypatch):
@@ -307,11 +301,7 @@ class TestDegradation:
                                        "no multiprocessing (injected)")
         monkeypatch.setattr(ObligationScheduler, "_spawn_pool", refuse)
 
-    @pytest.fixture
-    def no_thread_pool(self, monkeypatch):
-        monkeypatch.setattr(scheduler_mod, "ThreadPoolExecutor", _NoThreads)
-
-    def test_process_degrades_to_thread(self, no_process_pool):
+    def test_process_degrades_to_serial(self, no_process_pool):
         telemetry = Telemetry()
         outcomes = _scheduler(telemetry=telemetry,
                               on_backend_failure="degrade").run(_obs())
@@ -319,70 +309,30 @@ class TestDegradation:
         stats = telemetry.stats()
         assert stats.degraded == 1
         degraded = [e for e in telemetry.events() if e.event == "degraded"]
-        assert [e.label for e in degraded] == ["process->thread"]
+        assert [e.label for e in degraded] == ["process->serial"]
         assert "injected" in degraded[0].detail
 
-    def test_thread_degrades_to_serial(self, no_thread_pool):
-        telemetry = Telemetry()
-        outcomes = _scheduler(backend="thread", telemetry=telemetry,
-                              on_backend_failure="degrade").run(_obs())
-        assert [o.value for o in outcomes] == [0, 1, 4, 9]
-        assert telemetry.stats().degraded == 1
-
     def test_full_chain_process_to_serial(self, no_process_pool,
-                                          no_thread_pool):
+                                          monkeypatch):
+        """The whole chain: a farm no worker joins falls back to the
+        process backend, whose pool cannot start, and the run finishes
+        serially."""
+        monkeypatch.setattr(ObligationScheduler, "REMOTE_WORKER_GRACE",
+                            0.3)
         telemetry = Telemetry()
-        outcomes = _scheduler(telemetry=telemetry,
+        outcomes = _scheduler(backend="remote",
+                              remote_listen="127.0.0.1:0",
+                              telemetry=telemetry,
                               on_backend_failure="degrade").run(_obs())
         assert [o.value for o in outcomes] == [0, 1, 4, 9]
         assert telemetry.stats().degraded == 2
         assert [e.label for e in telemetry.events()
                 if e.event == "degraded"] == \
-            ["process->thread", "thread->serial"]
+            ["remote->process", "process->serial"]
 
     def test_on_backend_failure_raise_propagates(self, no_process_pool):
         with pytest.raises(BackendUnusableError, match="process"):
             _scheduler(on_backend_failure="raise").run(_obs())
-
-    def test_degrade_keeps_finished_outcomes(self, monkeypatch, tmp_path):
-        """Outcomes reached before the degradation stay final: when the
-        thread pool stops accepting work partway, the serial fallback
-        runs only the unfinished obligations -- nothing runs twice."""
-        from concurrent.futures import ThreadPoolExecutor as RealPool
-
-        class FlakySubmitPool:
-            """Accepts two submissions, then refuses like a thread-starved
-            interpreter would."""
-
-            def __init__(self, max_workers=None):
-                self._inner = RealPool(max_workers=max_workers)
-                self._accepted = 0
-
-            def submit(self, fn, *args, **kwargs):
-                self._accepted += 1
-                if self._accepted > 2:
-                    raise RuntimeError("can't start new thread (injected)")
-                return self._inner.submit(fn, *args, **kwargs)
-
-            def shutdown(self, wait=True):
-                self._inner.shutdown(wait=wait)
-
-        monkeypatch.setattr(scheduler_mod, "ThreadPoolExecutor",
-                            FlakySubmitPool)
-        telemetry = Telemetry()
-        obs = [_faulty_ob(tmp_path, f"d{i}", (), i) for i in range(4)]
-        # batch_size=1: per-obligation submissions, so the injected
-        # third-submit refusal is reachable (batched dispatch would fold
-        # all four obligations into the two accepted submissions).
-        outcomes = _scheduler(backend="thread", telemetry=telemetry,
-                              on_backend_failure="degrade",
-                              batch_size=1).run(obs)
-        assert [o.value for o in outcomes] == [0, 1, 2, 3]
-        assert telemetry.stats().degraded == 1
-        # every obligation ran exactly once despite the backend switch
-        for i in range(4):
-            assert os.path.getsize(_attempt_file(str(tmp_path),
-                                                 f"d{i}")) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +385,6 @@ class TestFailureTaxonomy:
 
 
 class TestAbandonedWorkers:
-    def test_thread_backend_records_abandoned_worker(self):
-        """A timed-out thread cannot be preempted; abandoning it at pool
-        shutdown must be visible in telemetry, not a silent drop."""
-        telemetry = Telemetry()
-        obs = [Obligation(kind="test", label="slow",
-                          thunk=lambda: time.sleep(1.5) or "late"),
-               Obligation(kind="test", label="fast", thunk=lambda: 42)]
-        outcomes = ObligationScheduler(
-            jobs=2, backend="thread", cache=False, telemetry=telemetry,
-            timeout_seconds=0.2).run(obs)
-        assert outcomes[0].status == "timed_out"
-        assert outcomes[1].ok and outcomes[1].value == 42
-        stats = telemetry.stats()
-        assert stats.abandoned_workers == 1
-        events = [e for e in telemetry.events()
-                  if e.event == "worker_abandoned"]
-        assert [e.label for e in events] == ["backend:thread"]
-
     def test_process_backend_records_abandoned_worker(self, monkeypatch,
                                                       tmp_path):
         """A worker that blocks SIGALRM and spins is unreachable by the
@@ -484,9 +416,9 @@ class TestAbandonedWorkers:
 # ---------------------------------------------------------------------------
 
 class TestChaosDifferentialAES:
-    """Injected faults must never change a proof verdict: serial, thread
-    and process runs of the sampled AES corpus agree bit-for-bit even
-    while workers crash, payloads raise transiently, and stalls fire."""
+    """Injected faults must never change a proof verdict: serial and
+    process runs of the sampled AES corpus agree bit-for-bit even while
+    workers crash, payloads raise transiently, and stalls fire."""
 
     def _keys(self, result):
         return [outcome_key(o) for o in result.outcomes]
@@ -529,16 +461,16 @@ class TestChaosDifferentialAES:
             return result, telemetry.stats()
 
         serial, serial_stats = run("serial", 1, transient, "serial")
-        thread, thread_stats = run("thread", 4, transient, "thread")
+        retried, retried_stats = run("process", 2, transient, "retried")
         process, process_stats = run("process", 4, hostile, "process")
 
         assert serial.total_vcs > 4
-        assert self._keys(thread) == self._keys(serial)
+        assert self._keys(retried) == self._keys(serial)
         assert self._keys(process) == self._keys(serial)
         assert process.auto_percent == serial.auto_percent
         # the faults genuinely fired and were genuinely absorbed
         assert serial_stats.retried_ok >= 1
-        assert thread_stats.retried_ok >= 1
+        assert retried_stats.retried_ok >= 1
         assert process_stats.retried_ok >= 1
         assert process_stats.crashes >= 1
         assert process_stats.quarantined == 0

@@ -1,7 +1,7 @@
 """Process-backend tests: scheduler semantics over worker processes
 (ordering, group chaining, timeouts, retries, error modes, caching),
 payload reconstruction, and the cross-backend differential gates --
-serial vs thread vs process must be bit-identical on real proofs."""
+serial vs process must be bit-identical on real proofs."""
 
 import os
 import time
@@ -155,18 +155,19 @@ class TestCrossBackendDifferential:
     def test_small_package_all_backends_identical(self):
         typed = analyze(parse_package(SRC))
         runs = {
-            backend: ImplementationProof(
+            (backend, jobs): ImplementationProof(
                 typed, exec=ExecConfig(jobs=jobs, backend=backend,
                                        cache=False)).run()
-            for backend, jobs in (("serial", 1), ("thread", 4),
+            for backend, jobs in (("serial", 1), ("process", 2),
                                   ("process", 4))
         }
-        assert self._keys(runs["thread"]) == self._keys(runs["serial"])
-        assert self._keys(runs["process"]) == self._keys(runs["serial"])
-        assert runs["process"].auto_percent == runs["serial"].auto_percent
+        serial = runs["serial", 1]
+        assert self._keys(runs["process", 2]) == self._keys(serial)
+        assert self._keys(runs["process", 4]) == self._keys(serial)
+        assert runs["process", 4].auto_percent == serial.auto_percent
 
     def test_sampled_aes_corpus_identical(self):
-        """serial jobs=1 vs thread jobs=4 vs process jobs=4 over a
+        """serial jobs=1 vs process jobs=2 and jobs=4 over a
         deterministic sample of the annotated AES package's subprograms
         (the full corpus runs in benchmarks/bench_scheduler.py)."""
         from repro.aes.annotations import annotated_package
@@ -183,10 +184,10 @@ class TestCrossBackendDifferential:
                                 cache=False)).run(sample)
 
         serial = run("serial", 1)
-        thread = run("thread", 4)
+        narrow = run("process", 2)
         process = run("process", 4)
         assert serial.total_vcs > 0
-        assert self._keys(thread) == self._keys(serial)
+        assert self._keys(narrow) == self._keys(serial)
         assert self._keys(process) == self._keys(serial)
 
     def test_implication_proof_identical(self):

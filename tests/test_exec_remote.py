@@ -57,9 +57,12 @@ def _wait_for(path, value, limit=30.0):
 
 def _write_pid_and_wait(marker, release, value, limit=30.0):
     """Publish the worker pid (so the test can kill -9 it), then wait
-    for the release file.  The blamed re-run returns immediately."""
-    with open(marker, "w") as handle:
+    for the release file.  The blamed re-run returns immediately.  The
+    marker is renamed into place, so a reader never sees it empty."""
+    partial = f"{marker}.{os.getpid()}"
+    with open(partial, "w") as handle:
         handle.write(str(os.getpid()))
+    os.replace(partial, marker)
     return _wait_for(release, value, limit)
 
 

@@ -7,8 +7,8 @@ import time
 import pytest
 
 from repro.exec import (
-    ExecConfig, Obligation, ObligationScheduler, ResultCache, Telemetry,
-    make_key,
+    CallPayload, ExecConfig, Obligation, ObligationScheduler, ResultCache,
+    Telemetry, make_key,
 )
 from repro.lang import analyze, parse_package
 from repro.prover import AutoProver, ImplementationProof
@@ -41,6 +41,11 @@ package P is
    end Invert_Twice;
 end P;
 """
+
+
+def _sleep_then(seconds, value):
+    time.sleep(seconds)
+    return value
 
 
 def outcome_key(o):
@@ -107,12 +112,15 @@ class TestScheduling:
         assert trace == list(range(6))
 
     def test_timeout_marks_timed_out_not_crash(self):
-        def slow():
-            time.sleep(5)
-            return "late"
-        obs = [self._obligation("fast", lambda: "ok"),
-               self._obligation("slow", slow),
-               self._obligation("after", lambda: "ok2")]
+        # Shipped (payload-carrying) obligations: the worker's SIGALRM
+        # preempts the overrun; inline thunks could not be interrupted.
+        def shipped(label, fn, *args):
+            payload = CallPayload(fn, args)
+            return Obligation(kind="vc", label=label, thunk=payload.run,
+                              cache_key=make_key(label), payload=payload)
+        obs = [shipped("fast", str, "ok"),
+               shipped("slow", _sleep_then, 5, "late"),
+               shipped("after", str, "ok2")]
         started = time.perf_counter()
         outcomes = ObligationScheduler(
             jobs=2, cache=False, timeout_seconds=0.2).run(obs)

@@ -368,6 +368,47 @@ class TestReplay:
 
         assert asyncio.run(idle())["id"] == "job-1"
 
+    def test_replayed_removed_backend_is_an_error_reply(self, tmp_path):
+        """A journal written while ``backend: "thread"`` still existed
+        replays to an error reply for that request -- not a daemon crash:
+        later requests are still served."""
+        from repro.serve.journal import Journal
+        state = tmp_path / "state"
+
+        async def admit_only(service):
+            await service.submit(submit_msg(
+                id="old", exec={"jobs": 2, "backend": "process"}))
+
+        asyncio.run(run_service(
+            ServeConfig(state_dir=state,
+                        lanes={"interactive": 1, "bulk": 0}),
+            admit_only))
+        path = Journal(state).journal_path
+        text = path.read_text(encoding="utf-8")
+        assert '"backend":"process"' in text
+        path.write_text(text.replace('"backend":"process"',
+                                     '"backend":"thread"'),
+                        encoding="utf-8")
+
+        async def replay(service):
+            old = await service.wait("old")
+            await service.submit(submit_msg(id="new"))
+            return old, await service.wait("new")
+
+        service = VerificationService(ServeConfig(state_dir=state))
+
+        async def main():
+            assert await service.start() == 1
+            try:
+                return await replay(service)
+            finally:
+                await service.stop()
+
+        old, new = asyncio.run(main())
+        assert old["status"] == "error"
+        assert "thread" in old["error"] and "backend" in old["error"]
+        assert new["status"] == "ok"
+
 
 @pytest.mark.slow
 class TestDaemonSubprocess:

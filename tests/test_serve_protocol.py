@@ -184,8 +184,8 @@ class TestNormalizeSubmit:
 
     def test_exec_validated_but_kept_as_data(self):
         req = normalize_submit(submit_msg(exec={"jobs": 2,
-                                                "backend": "thread"}))
-        assert req["exec"] == {"jobs": 2, "backend": "thread"}
+                                                "backend": "process"}))
+        assert req["exec"] == {"jobs": 2, "backend": "process"}
         with pytest.raises(ProtocolError):
             normalize_submit(submit_msg(exec={"jobs": 0}))
 

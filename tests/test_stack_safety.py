@@ -1,13 +1,14 @@
 """Stack-safety regression and differential tests for the iterative term
 engine.
 
-The obligation scheduler discharges VCs from worker threads whose C stacks
-are small and fixed.  Before the engine went iterative, normalizing or
-substituting into a deep term from such a thread overflowed the C stack and
-killed the whole interpreter (a segfault -- no Python exception, no
-"undischarged" mapping).  The tests here run the converted traversals
-inside a ``threading.stack_size(512 * 1024)`` thread: they crashed the
-process before the fix and must pass after it.
+VCs are discharged on worker threads (the serve daemon's request threads, a
+library caller's own) whose C stacks are small and fixed.  Before the
+engine went iterative, normalizing or substituting into a deep term from
+such a thread overflowed the C stack and killed the whole interpreter (a
+segfault -- no Python exception, no "undischarged" mapping).  The tests
+here run the converted traversals inside a
+``threading.stack_size(512 * 1024)`` thread: they crashed the process
+before the fix and must pass after it.
 
 The differential tests pin the conversion: a verbatim copy of the old
 *recursive* algorithms (confined to this test file; ``src/`` is lint-clean
@@ -245,8 +246,9 @@ class TestSmallStackThreads:
         assert depth == 2 * DEEP_N + 1
 
     def test_implementation_proof_jobs2_small_stack(self, aes_corpus):
-        """The ISSUE's headline scenario: threaded discharge of the deepest
-        refactored-AES subprogram on 512 KiB worker stacks."""
+        """Discharge of the deepest refactored-AES subprogram on a 512 KiB
+        thread stack: the proof runs serially inside the small-stack
+        thread, so every VC is discharged on that stack."""
         typed, corpus = aes_corpus
         deepest = max(
             corpus,
@@ -255,8 +257,8 @@ class TestSmallStackThreads:
             typed, exec=ExecConfig(jobs=1, cache=False)).run([deepest])
         result = _run_in_small_stack_thread(
             lambda: ImplementationProof(
-                typed, exec=ExecConfig(jobs=2, cache=False)).run(
-                [deepest]))
+                typed, exec=ExecConfig(backend="serial",
+                                       cache=False)).run([deepest]))
         assert result.feasible
         assert [(o.vc.name, o.stage) for o in result.outcomes] == \
             [(o.vc.name, o.stage) for o in baseline.outcomes]
