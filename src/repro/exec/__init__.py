@@ -5,16 +5,14 @@ The three proof layers of the Echo pipeline -- VC discharge
 (:mod:`repro.refactor.engine`), and implication lemmas
 (:mod:`repro.implication`) -- express their work as uniform
 :class:`~repro.exec.obligation.Obligation` values and hand them to an
-:class:`~repro.exec.scheduler.ObligationScheduler`, which runs them on
-one of three backends -- inline (``backend='serial'`` or ``jobs=1``,
-bit-identical to the historical serial path), a process pool
-(``backend='process'``, the default; true multi-core proving via the
-declarative payloads of :mod:`repro.exec.payload`), or a distributed
-proof farm
-(``backend='remote'``, socket-connected worker hosts with a shared
-networked cache tier, :mod:`repro.exec.remote`) -- consults a
-content-addressed
-:class:`~repro.exec.cache.ResultCache`, and records structured
+:class:`~repro.exec.scheduler.ObligationScheduler`, which runs their
+payloads (:mod:`repro.exec.payload`) on one of three backends -- inline
+(``backend='serial'`` or ``jobs=1``), a process pool
+(``backend='process'``, the default; true multi-core proving), or a
+distributed proof farm (``backend='remote'``, socket-connected worker
+hosts with a shared networked cache tier, :mod:`repro.exec.remote`) --
+consults a content-addressed :class:`~repro.exec.cache.ResultCache`,
+and records structured
 :class:`~repro.exec.telemetry.Telemetry` events.
 
 Callers configure all of this through one value object,
@@ -35,8 +33,8 @@ from .obligation import (
     lemma_obligation, vc_obligation,
 )
 from .payload import (
-    BatchPayload, CallPayload, EquivTrialPayload, LemmaPayload,
-    ObligationPayload, VCPayload, make_batch,
+    BatchPayload, CallPayload, EquivTrialPayload, HotpathTally,
+    LemmaPayload, ObligationPayload, TheoryPair, VCPayload,
 )
 from .remote import RemoteCoordinator
 from .scheduler import (
@@ -55,7 +53,7 @@ __all__ = [
     "package_fingerprint", "theory_fingerprint",
     "vc_obligation", "equiv_trial_obligation", "lemma_obligation",
     "ObligationPayload", "VCPayload", "EquivTrialPayload", "LemmaPayload",
-    "CallPayload", "BatchPayload", "make_batch",
+    "CallPayload", "BatchPayload", "HotpathTally", "TheoryPair",
     "VC", "EQUIV_TRIAL", "LEMMA",
     "RemoteCoordinator",
 ]

@@ -79,9 +79,9 @@ class ExecConfig:
     ``timeout_seconds``  per-obligation wall bound; must be positive when
                          given (0 would silently *disable* the worker's
                          SIGALRM instead of enforcing a bound).  Workers
-                         enforce it preemptively (SIGALRM); inline work
-                         (serial, payloadless obligations) is bounded by
-                         the thunk's own timeouts.
+                         enforce it preemptively (SIGALRM); inline
+                         (serial) work is bounded by the payload's own
+                         timeouts.
     ``retries``          a :class:`RetryPolicy`, or an int coerced to one
                          (that many retries, default exponential backoff).
     ``on_error``         'raise' (propagate, the historical behaviour) or

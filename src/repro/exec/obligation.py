@@ -11,20 +11,13 @@ An :class:`Obligation` is one schedulable, cacheable unit of proof work:
 * an implication lemma (``kind='lemma'``): one
   :func:`repro.implication.prover.discharge_lemma` step.
 
-The adapters below wrap the existing entry points *without changing their
-semantics*: the thunk a caller supplies is exactly the code the serial
-path used to run inline, and the adapter only attaches a stable cache key
-(content-addressed over term fingerprints + program/theory text + prover
-configuration) and, where the result is plain data, JSON codecs for the
-on-disk cache layer.
-
-An obligation may additionally carry a declarative, picklable ``payload``
-(:mod:`repro.exec.payload`) describing the same work as data.  The serial
-backend always executes the thunk; the process and remote backends ship
-the payload to a worker, which reconstructs the thunk on its side of the
-process boundary.  Obligations without a payload still run under those
-backends -- inline on the parent, preserving semantics at the cost of
-parallelism.
+The work itself is written once, as the obligation's ``payload``
+(:mod:`repro.exec.payload`): every backend runs ``payload.run()`` --
+the serial backend inline on the caller's live objects, the process and
+remote backends in a worker after the payload is pickled across.  The
+adapters below only attach a stable cache key (content-addressed over
+term fingerprints + program/theory text + prover configuration) and,
+where the result is plain data, JSON codecs for the on-disk cache layer.
 
 Obligations in the same ``group`` are executed serially in submission
 order even under a parallel scheduler -- this is how per-subprogram prover
@@ -34,10 +27,10 @@ discipline while distinct subprograms fan out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .cache import make_key
+from .cache import make_key, package_fingerprint, theory_fingerprint
 
 __all__ = [
     "Obligation",
@@ -56,15 +49,20 @@ class Obligation:
 
     kind: str                        # 'vc' | 'equiv_trial' | 'lemma' | ...
     label: str                       # human-readable; shows up in telemetry
-    thunk: Callable[[], Any]         # runs the actual discharge
+    #: The work (:class:`~repro.exec.payload.ObligationPayload`): run
+    #: inline by the serial backend, shipped by the parallel ones.
+    payload: Any
     cache_key: Optional[str] = None  # None: never cached
     group: Optional[str] = None      # same group => serial, in order
     #: JSON codecs for the on-disk cache layer; absent => memory-only.
+    #: ``decode`` also maps a payload's ``encode_result`` wire back.
     encode: Optional[Callable[[Any], Any]] = None
     decode: Optional[Callable[[Any], Any]] = None
-    #: Declarative picklable spec of the same work, for the process
-    #: backend (:mod:`repro.exec.payload`); None => parent-side only.
-    payload: Optional[Any] = None
+
+    def __post_init__(self):
+        if not callable(getattr(self.payload, "run", None)):
+            raise TypeError(f"obligation {self.label!r} needs a payload "
+                            f"with a run() method, got {self.payload!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,27 +84,25 @@ def _decode_vc_result(payload):
     return payload["stage"], result
 
 
-def vc_obligation(vc, discharge: Callable[[], Any], *,
-                  package_fp: str, config: str = "",
-                  payload=None) -> Obligation:
+def vc_obligation(vc, payload, *, config: str = "") -> Obligation:
     """Wrap the discharge of one :class:`~repro.vcgen.examiner.VCRecord`.
 
-    ``discharge`` must return ``(stage, ProofResult-or-None)`` -- the
-    stage/result pair the implementation-proof session records as a
+    ``payload`` is its :class:`~repro.exec.payload.VCPayload`, whose run
+    returns ``(stage, ProofResult-or-None)`` -- the stage/result pair the
+    implementation-proof session records as a
     :class:`~repro.prover.session.VCOutcome`.  The key covers the
     simplified VC term, the VC's identity, the package text, and the
     prover configuration (timeouts, available scripts), so any change to
-    code, annotations, or setup is a miss.  ``payload`` optionally names
-    the same discharge declaratively for the process backend.
+    code, annotations, or setup is a miss.
     """
     from ..logic import fingerprint
-    key = make_key(VC, package_fp, vc.subprogram, vc.name, vc.kind,
+    key = make_key(VC, package_fingerprint(payload.typed), vc.subprogram,
+                   vc.name, vc.kind,
                    fingerprint(vc.simplified.simplified), config)
     return Obligation(
-        kind=VC, label=f"{vc.subprogram}/{vc.name}", thunk=discharge,
+        kind=VC, label=f"{vc.subprogram}/{vc.name}", payload=payload,
         cache_key=key, group=f"sp:{vc.subprogram}",
-        encode=_encode_vc_result, decode=_decode_vc_result,
-        payload=payload)
+        encode=_encode_vc_result, decode=_decode_vc_result)
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +115,18 @@ def _state_token(state) -> str:
     return repr(sorted(state.items()))
 
 
-def equiv_trial_obligation(index: int, name: str, initial,
-                           compare: Callable[[], Any], *,
-                           left_fp: str, right_fp: str,
-                           payload=None) -> Obligation:
-    """Wrap one differential trial: ``compare`` runs both sides from
-    ``initial`` and returns a Counterexample or None.  Cached in memory
-    only (counterexamples carry interpreter states, which we do not
-    serialize to disk)."""
-    key = make_key(EQUIV_TRIAL, left_fp, right_fp, name,
-                   _state_token(initial))
+def equiv_trial_obligation(index: int, payload) -> Obligation:
+    """Wrap one differential trial (an
+    :class:`~repro.exec.payload.EquivTrialPayload`, whose run returns a
+    Counterexample or None).  Cached in memory only (counterexamples
+    carry interpreter states, which we do not serialize to disk)."""
+    name = payload.left_name
+    key = make_key(EQUIV_TRIAL, package_fingerprint(payload.left),
+                   package_fingerprint(payload.right), name,
+                   _state_token(dict(payload.initial)))
     return Obligation(
-        kind=EQUIV_TRIAL, label=f"{name}#trial{index}", thunk=compare,
-        cache_key=key, payload=payload)
+        kind=EQUIV_TRIAL, label=f"{name}#trial{index}", payload=payload,
+        cache_key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +135,17 @@ def equiv_trial_obligation(index: int, name: str, initial,
 
 def _encode_lemma_outcome(outcome):
     """Scalar fields of a LemmaOutcome -- shared by the on-disk cache
-    codec and the process backend's result wire."""
+    codec and the parallel backends' result wire."""
     return {"proved": outcome.proved, "evidence": outcome.evidence,
             "is_proof": outcome.is_proof, "detail": outcome.detail,
             "manual_steps": outcome.manual_steps}
 
 
-def lemma_obligation(lemma, discharge: Callable[[], Any], *,
-                     original_fp: str, extracted_fp: str,
-                     seed: int, payload=None) -> Obligation:
-    """Wrap one implication-lemma discharge.  ``discharge`` returns the
-    :class:`~repro.implication.prover.LemmaOutcome`; the on-disk codec
-    stores its scalar fields and re-attaches the in-memory lemma object on
-    decode."""
+def lemma_obligation(lemma, payload) -> Obligation:
+    """Wrap one implication-lemma discharge (a
+    :class:`~repro.exec.payload.LemmaPayload` returning the
+    :class:`~repro.implication.prover.LemmaOutcome`).  The codec stores
+    the outcome's scalar fields and re-attaches ``lemma`` on decode."""
 
     def decode(wire):
         from ..implication.prover import LemmaOutcome
@@ -162,9 +155,11 @@ def lemma_obligation(lemma, discharge: Callable[[], Any], *,
                             detail=wire["detail"],
                             manual_steps=wire["manual_steps"])
 
-    key = make_key(LEMMA, original_fp, extracted_fp, lemma.name, lemma.kind,
-                   lemma.original, lemma.extracted, f"seed={seed}")
+    pair = payload.theories
+    key = make_key(LEMMA, theory_fingerprint(pair.original),
+                   theory_fingerprint(pair.extracted), lemma.name,
+                   lemma.kind, lemma.original, lemma.extracted,
+                   f"seed={payload.seed}")
     return Obligation(
-        kind=LEMMA, label=f"lemma:{lemma.name}", thunk=discharge,
-        cache_key=key, encode=_encode_lemma_outcome, decode=decode,
-        payload=payload)
+        kind=LEMMA, label=f"lemma:{lemma.name}", payload=payload,
+        cache_key=key, encode=_encode_lemma_outcome, decode=decode)

@@ -1,59 +1,65 @@
-"""Declarative, picklable proof-obligation payloads.
+"""Proof-obligation payloads: the one definition of each obligation's work.
 
-The thread and serial scheduler backends execute an obligation's
-``thunk`` -- a closure over live parent-process objects (typed packages,
-provers, evaluators).  Closures do not pickle, so the process backend
-instead ships a *payload*: a declarative spec naming exactly the inputs
-the discharge depends on (the VC term and prover configuration, the
-equivalence-trial initial state and program pair, the lemma identity and
-theories), from which the worker reconstructs the thunk on its side of
-the process boundary.
+A payload names exactly the inputs a discharge depends on (the typed
+package, VC term and prover configuration; the equivalence-trial
+initial state and program pair; the lemma identity and theories) and
+its :meth:`~ObligationPayload.run` performs the discharge.  Every
+backend runs the same ``run``: the serial backend calls it inline, the
+process and remote backends pickle the payload to a worker and call it
+there.
 
-Everything a payload carries is picklable by construction: MiniAda and
-MiniPVS ASTs are pure dataclass trees, and logic terms route through the
-structural wire format of :mod:`repro.logic.wire`, which re-interns them
-in the worker so hash-consing identity (``__eq__ is is``) holds there
-exactly as it does in the parent.
+Payload fields are the caller's *live* objects, so an inline run
+re-analyzes and re-warms nothing.  The heavy ones pickle as their
+rebuildable form:
 
-Worker-side context is memoized per process, keyed by content
-fingerprints: a package is re-analyzed once per worker (not once per VC),
-and theory evaluator pairs are reused per theory pair.  Provers are the
-deliberate exception -- a prover instance accumulates search history, so
-one is constructed *per VC* (the session's inline path does the same),
-keeping every discharge a pure function of the payload's fields no
-matter which sibling VCs a worker saw first.  Reconstruction is
+* a :class:`~repro.lang.typecheck.TypedPackage` pickles as (fingerprint,
+  AST) and is analyzed once per receiving process (a bounded memo keyed
+  by the fingerprint);
+* a :class:`~repro.logic.normcache.NormalizationCache` pickles as the
+  receiving process's :func:`~repro.logic.normcache.default_norm_cache`;
+* a :class:`TheoryPair` (the implication proof's map, lemmas and
+  evaluators) pickles as its two theories and is rebuilt once per
+  receiving process (a bounded memo keyed by the theory fingerprints);
+* a :class:`HotpathTally` pickles as an empty tally, so prover counters
+  folded in a worker stay there.
+
+MiniAda and MiniPVS ASTs are pure dataclass trees, and logic terms route
+through the structural wire format of :mod:`repro.logic.wire`, which
+re-interns them in the worker so hash-consing identity (``__eq__ is
+is``) holds there exactly as it does in the parent.  Reconstruction is
 deterministic -- ``analyze`` of the same AST, ``build_map``/
-``generate_lemmas`` of the same theories -- so a payload discharged in a
-worker produces the same result the parent-side thunk would have
-produced.
+``generate_lemmas`` of the same theories -- so a payload run in a worker
+produces the result an inline run produces.
 
-Results travel back through ``encode_result``/``decode_result``:
-``encode_result`` runs worker-side and maps the raw value onto plain
-data (the same codecs the on-disk cache layer uses, where those exist);
-``decode_result`` runs parent-side.  The scheduler prefers the
-obligation's own ``decode`` when one is declared, so e.g. a lemma outcome
-is re-attached to the *parent's* lemma object exactly as a disk-cache
-replay would be.
+Results travel back through ``encode_result`` (worker-side: map the raw
+value onto picklable plain data, with the codecs the on-disk cache layer
+uses where those exist) and the obligation's own ``decode``
+(parent-side), so e.g. a lemma outcome is re-attached to the *caller's*
+lemma object exactly as a disk-cache replay would be.  The serial
+backend takes the same round trip, so every backend lands identical
+values.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Tuple
 
 __all__ = [
     "ObligationPayload", "VCPayload", "EquivTrialPayload", "LemmaPayload",
-    "CallPayload", "BatchPayload", "make_batch",
+    "CallPayload", "BatchPayload", "HotpathTally", "TheoryPair",
 ]
 
 
 class ObligationPayload:
-    """One schedulable unit of proof work as declarative, picklable data.
+    """One schedulable unit of proof work.
 
-    Subclasses implement :meth:`run` (worker-side: rebuild context and
-    execute) and may override the result codecs.  Instances must be
-    picklable; keep fields to ASTs, terms, strings, and numbers.
+    Subclasses implement :meth:`run` and may override
+    :meth:`encode_result`.  Instances must be picklable; keep fields to
+    ASTs, terms, strings, numbers and the live objects listed in the
+    module docstring.
 
     Execution semantics are **at-least-once**: crash recovery
     (DESIGN.md §12) re-ships a payload whose worker died, and the retry
@@ -69,94 +75,9 @@ class ObligationPayload:
         raise NotImplementedError
 
     def encode_result(self, value: Any) -> Any:
-        """Worker-side: map the raw result onto picklable plain data."""
+        """Map the raw result onto picklable plain data; the
+        obligation's ``decode`` (if any) is the inverse."""
         return value
-
-    def decode_result(self, wire: Any) -> Any:
-        """Parent-side inverse of :meth:`encode_result` (used only when
-        the obligation declares no ``decode`` of its own)."""
-        return wire
-
-
-# ---------------------------------------------------------------------------
-# Worker-side context caches (per process, keyed by content fingerprints)
-# ---------------------------------------------------------------------------
-
-_TYPED_CACHE: Dict[str, Any] = {}
-_THEORY_CACHE: Dict[tuple, tuple] = {}
-#: Warm normalization batches already absorbed by this worker, keyed by
-#: (scope key, fingerprint tuple) -- every VC payload of a subprogram
-#: carries the same batch, which need only be decoded once per process.
-_WARM_ABSORBED: set = set()
-
-
-def _typed_package(fp: str, package):
-    """Analyze ``package`` once per worker process."""
-    typed = _TYPED_CACHE.get(fp)
-    if typed is None:
-        from ..lang import analyze
-        typed = analyze(package)
-        _TYPED_CACHE[fp] = typed
-    return typed
-
-
-def _provers(fp: str, package, subprogram: str, auto_timeout):
-    """A *fresh* (AutoProver, InteractiveProver) pair for one VC.
-
-    Prover instances carry search history (the fresh-name counter, the
-    per-term memo caches), so a pair reused across VCs would make each
-    verdict depend on which sibling VCs this worker happened to
-    discharge earlier -- and with the farm handing every worker a
-    different subset of leases, on the shape of the farm itself.
-    Constructing per VC keeps a payload's outcome a pure function of
-    its fields: any distribution of obligations across threads,
-    processes, or remote workers produces the serial reference's
-    verdicts bit for bit.  The worker's process-wide normalization
-    cache (warmed by :func:`_absorb_warm`) is still shared across
-    constructions: a cached normal form is a pure function of
-    (rules, term), an accelerator that cannot move a verdict."""
-    from ..logic.normcache import default_norm_cache
-    from ..prover.auto import AutoProver
-    from ..prover.tactics import InteractiveProver
-    typed = _typed_package(fp, package)
-    shared = default_norm_cache()
-    return (AutoProver(typed, subprogram_name=subprogram,
-                       timeout_seconds=auto_timeout, shared=shared),
-            InteractiveProver(typed, subprogram_name=subprogram,
-                              shared=shared))
-
-
-def _absorb_warm(warm_key: str, warm_norms) -> None:
-    """Install a payload's warm normalization batch (parent-side examiner
-    results for one subprogram) into this worker's cache, once."""
-    fps, wire = warm_norms
-    memo_key = (warm_key, fps)
-    if memo_key in _WARM_ABSORBED:
-        return
-    _WARM_ABSORBED.add(memo_key)
-    from ..logic.normcache import default_norm_cache
-    from ..logic.wire import decode_terms
-    terms = decode_terms(wire)
-    default_norm_cache().absorb(warm_key, zip(fps, terms))
-
-
-def _theory_context(original_fp: str, extracted_fp: str,
-                    original, extracted):
-    """(amap, lemmas-by-name, orig evaluator, ext evaluator) for one
-    theory pair, rebuilt deterministically once per worker."""
-    key = (original_fp, extracted_fp)
-    ctx = _THEORY_CACHE.get(key)
-    if ctx is None:
-        from ..extract.mapper import build_map
-        from ..implication.lemmas import generate_lemmas
-        from ..spec import SpecEvaluator
-        amap = build_map(original, extracted)
-        lemmas = {lemma.name: lemma
-                  for lemma in generate_lemmas(original, amap)}
-        ctx = (amap, lemmas, SpecEvaluator(original),
-               SpecEvaluator(extracted))
-        _THEORY_CACHE[key] = ctx
-    return ctx
 
 
 # The process backend forks workers from a parent that may hold the
@@ -178,54 +99,73 @@ if hasattr(os, "register_at_fork"):
 # VC discharge
 # ---------------------------------------------------------------------------
 
+class HotpathTally(dict):
+    """subprogram -> rewriting counters summed over the provers that
+    retired in this process.  Pickles as an empty tally: the session's
+    report counts in-process provers only, and a worker's counters die
+    with it."""
+
+    def __reduce__(self):
+        return (HotpathTally, ())
+
+    def fold(self, subprogram: str, prover) -> None:
+        acc = self.setdefault(subprogram, {
+            "index_hits": 0, "index_skipped_rules": 0, "cross_vc_hits": 0})
+        for key, value in prover.hotpath_counters().items():
+            acc[key] += value
+
+
 @dataclass(frozen=True)
 class VCPayload(ObligationPayload):
-    """Discharge of one verification condition: automatic prover first,
-    then the subprogram's interactive proof scripts -- the exact sequence
-    of :meth:`repro.prover.session.ImplementationProof._discharger`.
+    """Discharge of one verification condition: the automatic prover
+    first, then the subprogram's interactive proof scripts in order.
 
-    ``package`` is the MiniAda AST (re-analyzed worker-side, memoized on
-    ``package_fp``); ``term`` is the simplified VC (re-interned via the
-    wire format); ``scripts`` are the :class:`~repro.prover.tactics
-    .ProofScript` values to try in order on an auto-prover miss.
+    Provers are constructed *per VC*: an instance accumulates search
+    history (fresh-name counters, per-term memos) that would make this
+    VC's verdict depend on which siblings ran earlier on the same
+    instance -- and every backend and farm shape sees a different
+    sibling history, so per-VC construction is what keeps verdicts
+    bit-identical everywhere.  ``norm_cache`` stays shared: a cached
+    normal form is a pure function of (rules, term), so warmth moves
+    wall clock, never verdicts.  Retired provers' counters fold into
+    ``hotpath``.
     """
 
-    package: Any                   # repro.lang.ast.Package
-    package_fp: str
+    typed: Any                     # repro.lang.typecheck.TypedPackage
     subprogram: str
     term: Any                      # repro.logic.terms.Term
-    scripts: Tuple[Any, ...] = ()
-    auto_timeout: Optional[float] = None
-    #: Optional warm normalization batch: the parent examiner's subterm
-    #: normal forms for this subprogram, as (scope key, (fingerprint
-    #: tuple, wire-encoded terms)).  Absorbed once per worker; purely an
-    #: accelerator -- results are identical without it.
-    warm_key: Optional[str] = None
-    warm_norms: Any = None
+    scripts: Tuple[Any, ...]       # repro.prover.tactics.ProofScript
+    auto_timeout: Optional[float]
+    norm_cache: Any                # repro.logic.NormalizationCache
+    hotpath: HotpathTally
 
     def run(self):
-        if self.warm_key is not None and self.warm_norms is not None:
-            _absorb_warm(self.warm_key, self.warm_norms)
-        auto, interactive = _provers(self.package_fp, self.package,
-                                     self.subprogram, self.auto_timeout)
+        from ..prover.auto import AutoProver
+        from ..prover.tactics import InteractiveProver
+        auto = AutoProver(self.typed, subprogram_name=self.subprogram,
+                          timeout_seconds=self.auto_timeout,
+                          shared=self.norm_cache)
         result = auto.prove(self.term)
+        self.hotpath.fold(self.subprogram, auto)
         if result.proved:
             return "auto", result
         if not self.scripts:
             return "undischarged", None
-        for script in self.scripts:
-            result = interactive.run_script(self.term, script)
-            if result.proved:
-                return "interactive", result
-        return "undischarged", result
+        interactive = InteractiveProver(self.typed,
+                                        subprogram_name=self.subprogram,
+                                        shared=self.norm_cache)
+        try:
+            for script in self.scripts:
+                result = interactive.run_script(self.term, script)
+                if result.proved:
+                    return "interactive", result
+            return "undischarged", result
+        finally:
+            self.hotpath.fold(self.subprogram, interactive.auto)
 
     def encode_result(self, value):
         from .obligation import _encode_vc_result
         return _encode_vc_result(value)
-
-    def decode_result(self, wire):
-        from .obligation import _decode_vc_result
-        return _decode_vc_result(wire)
 
 
 # ---------------------------------------------------------------------------
@@ -235,66 +175,95 @@ class VCPayload(ObligationPayload):
 @dataclass(frozen=True)
 class EquivTrialPayload(ObligationPayload):
     """One differential trial: run both program versions from ``initial``
-    and compare final states.  The result (a
+    (a tuple of state items) and compare final states.  The result (a
     :class:`~repro.equiv.differential.Counterexample` or None) is plain
     frozen data and pickles as-is."""
 
-    left_package: Any              # repro.lang.ast.Package
-    right_package: Any
-    left_fp: str
-    right_fp: str
+    left: Any                      # repro.lang.typecheck.TypedPackage
+    right: Any
     left_name: str
     right_name: str
-    initial: Any                   # State: name -> int/bool/tuple
+    initial: Tuple[Tuple[str, Any], ...]
 
     def run(self):
         from ..equiv.differential import _compare
-        left = _typed_package(self.left_fp, self.left_package)
-        right = _typed_package(self.right_fp, self.right_package)
-        return _compare(left, self.left_name, right, self.right_name,
-                        dict(self.initial))
+        return _compare(self.left, self.left_name, self.right,
+                        self.right_name, dict(self.initial))
 
 
 # ---------------------------------------------------------------------------
 # Implication lemmas
 # ---------------------------------------------------------------------------
 
+#: Theory pairs rebuilt from pickles, most recently used last.
+_THEORY_PAIRS: "OrderedDict[Tuple[str, str], TheoryPair]" = OrderedDict()
+#: Bound on :data:`_THEORY_PAIRS`: one implication proof ships one pair.
+THEORY_PAIRS_PER_PROCESS = 4
+
+
+class TheoryPair:
+    """An implication proof's shared context for one (original,
+    extracted) theory pair: the architectural map, the generated lemmas
+    (in order, and by name) and one evaluator pair.  Pickles as its two
+    theories; the receiving process rebuilds it deterministically, once
+    per fingerprint pair."""
+
+    def __init__(self, original, extracted):
+        from ..extract.mapper import build_map
+        from ..implication.lemmas import generate_lemmas
+        from ..spec import SpecEvaluator
+        self.original = original
+        self.extracted = extracted
+        self.amap = build_map(original, extracted)
+        self.lemmas = generate_lemmas(original, self.amap)
+        self.by_name = {lemma.name: lemma for lemma in self.lemmas}
+        self.orig_eval = SpecEvaluator(original)
+        self.ext_eval = SpecEvaluator(extracted)
+
+    def __reduce__(self):
+        from .cache import theory_fingerprint
+        return (_unpickle_theory_pair,
+                (theory_fingerprint(self.original),
+                 theory_fingerprint(self.extracted),
+                 self.original, self.extracted))
+
+
+def _unpickle_theory_pair(original_fp: str, extracted_fp: str,
+                          original, extracted) -> TheoryPair:
+    key = (original_fp, extracted_fp)
+    pair = _THEORY_PAIRS.get(key)
+    if pair is None:
+        pair = _THEORY_PAIRS[key] = TheoryPair(original, extracted)
+        while len(_THEORY_PAIRS) > THEORY_PAIRS_PER_PROCESS:
+            _THEORY_PAIRS.popitem(last=False)
+    else:
+        _THEORY_PAIRS.move_to_end(key)
+    return pair
+
+
 @dataclass(frozen=True)
 class LemmaPayload(ObligationPayload):
-    """One implication-lemma discharge, identified by lemma name within a
-    theory pair.  The architectural map, the lemma list, and the
-    evaluator pair are rebuilt deterministically worker-side (memoized on
-    the theory fingerprints)."""
+    """One implication-lemma discharge, identified by lemma name within
+    a :class:`TheoryPair`."""
 
-    original: Any                  # repro.spec.ast.Theory
-    extracted: Any
-    original_fp: str
-    extracted_fp: str
+    theories: TheoryPair
     lemma_name: str
     seed: int
 
     def run(self):
         from ..implication.prover import discharge_lemma
-        amap, lemmas, orig_eval, ext_eval = _theory_context(
-            self.original_fp, self.extracted_fp,
-            self.original, self.extracted)
-        lemma = lemmas.get(self.lemma_name)
+        pair = self.theories
+        lemma = pair.by_name.get(self.lemma_name)
         if lemma is None:
             raise KeyError(f"lemma {self.lemma_name!r} not generated for "
                            f"this theory pair")
-        return discharge_lemma(lemma, self.original, self.extracted, amap,
-                               orig_eval, ext_eval, seed=self.seed)
+        return discharge_lemma(lemma, pair.original, pair.extracted,
+                               pair.amap, pair.orig_eval, pair.ext_eval,
+                               seed=self.seed)
 
     def encode_result(self, value):
         from .obligation import _encode_lemma_outcome
         return _encode_lemma_outcome(value)
-
-    def decode_result(self, wire):
-        # Without a parent-side lemma to re-attach (the obligation's own
-        # decode does that), rebuild the outcome around the worker-shipped
-        # scalar fields with no lemma object.
-        from ..implication.prover import LemmaOutcome
-        return LemmaOutcome(lemma=None, **wire)
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +281,8 @@ class BatchPayload:
     index, the item's :class:`ObligationPayload`, the per-item alarm
     token, and the item's cache key (``None`` when uncacheable; remote
     workers use keys for their local served-result tier, the process
-    backend ignores them).
-
-    ``warm`` carries the batch's *hoisted* warm normalization batches:
-    the distinct ``(warm_key, warm_norms)`` pairs of the bundled
-    :class:`VCPayload` items, each shipped and absorbed exactly once per
-    dispatch instead of once per item (:func:`make_batch` strips the
-    per-item copies).  Because one batch's items typically share a
-    package AST and warm batch, pickling the envelope also serializes
-    those shared objects once -- the bulk of the wire saving.
+    backend ignores them).  Because one batch's items typically share a
+    typed package, pickling the envelope serializes it once.
 
     Per-item semantics are preserved: the worker runs each entry through
     the same per-item timeout/retry machinery a solo dispatch uses and
@@ -329,38 +291,9 @@ class BatchPayload:
     """
 
     entries: Tuple[Tuple[int, Any, str, Optional[Any]], ...]
-    warm: Tuple[Tuple[str, Any], ...] = ()
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def make_batch(entries) -> BatchPayload:
-    """Bundle ``(index, payload, token, cache_key)`` tuples into a
-    :class:`BatchPayload`, hoisting shared warm normalization batches.
-
-    Hoisting replaces each item's ``warm_norms`` with ``None`` on a
-    *copy* of the payload (the caller's obligations are untouched, so a
-    blamed batch's solo re-runs still ship their own warm batch) and
-    records each distinct ``(warm_key, fingerprint-tuple)`` batch once
-    in :attr:`BatchPayload.warm`.  The worker absorbs the hoisted
-    batches before running any entry, so items observe exactly the warm
-    cache state they would have installed themselves.
-    """
-    from dataclasses import replace
-    hoisted: Dict[tuple, Tuple[str, Any]] = {}
-    stripped = []
-    for index, payload, token, key in entries:
-        warm_key = getattr(payload, "warm_key", None)
-        warm_norms = getattr(payload, "warm_norms", None)
-        if warm_key is not None and warm_norms is not None:
-            memo = (warm_key, warm_norms[0])
-            if memo not in hoisted:
-                hoisted[memo] = (warm_key, warm_norms)
-            payload = replace(payload, warm_norms=None)
-        stripped.append((index, payload, token, key))
-    return BatchPayload(entries=tuple(stripped),
-                        warm=tuple(hoisted.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +302,13 @@ def make_batch(entries) -> BatchPayload:
 
 @dataclass(frozen=True)
 class CallPayload(ObligationPayload):
-    """Apply a module-level function to picklable arguments.
+    """Apply a function to arguments.
 
-    The escape hatch for custom obligations that want to ride the process
-    backend: ``fn`` must be importable by qualified name (pickling a
-    lambda or inner function fails at submission time, loudly).
+    The payload for custom obligations (the planner's candidate
+    evaluations among them).  To ride the parallel backends, ``fn`` must
+    be importable by qualified name and the arguments picklable
+    (pickling a lambda or inner function fails at submission time,
+    loudly); the serial backend takes any callable.
     """
 
     fn: Callable[..., Any]

@@ -20,7 +20,8 @@ name) exits with status :data:`REJECTED_EXIT`.
 Per lease, the worker answers from three tiers, cheapest first:
 
 1. **local** -- its own in-process cache of wire-form results, warm
-   across connections (and across runs, in ``--listen`` mode);
+   across connections (and across runs, in ``--listen`` mode), bounded
+   to the :data:`LOCAL_CACHE_ENTRIES` most recently used;
 2. **tier** -- a ``cache_get`` read-through to the coordinator's
    content-addressed cache (when the coordinator enabled the shared
    tier), so any other worker's verdict is this worker's warm hit;
@@ -29,10 +30,9 @@ Per lease, the worker answers from three tiers, cheapest first:
 The served tier travels back on the ``result`` message, so telemetry
 can attribute farm-level cache behaviour.
 
-Batched leases (protocol version 3): a ``lease_batch`` ships many small
-obligations in one message; the worker absorbs the hoisted warm-norm
-caches once, answers each member from its local tier or computes it,
-and replies with one ``result_batch``.  See :func:`_handle_lease_batch`
+Batched leases (protocol version 3 on): a ``lease_batch`` ships many
+small obligations in one message; the worker answers each member from
+its local tier or computes it, and replies with one ``result_batch``.  See :func:`_handle_lease_batch`
 for why the coordinator ``cache_get`` tier is skipped inside a batch.
 """
 
@@ -45,10 +45,11 @@ import subprocess
 import sys
 import time
 from collections import deque
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ...protocol import PROTOCOL_VERSION, ProtocolError, \
     check_protocol_version
+from ..cache import ResultCache
 from ..scheduler import _process_worker
 from .link import Link, decode_blob, encode_blob, parse_address
 
@@ -56,6 +57,11 @@ __all__ = ["main", "spawn_worker", "REJECTED_EXIT"]
 
 #: Exit status when the coordinator rejects the handshake.
 REJECTED_EXIT = 3
+
+#: Wire-form results a worker keeps in its local tier.  A persistent
+#: (``--listen``) worker computes new leases for as long as it lives;
+#: least-recently-used results go first.
+LOCAL_CACHE_ENTRIES = 4096
 
 
 def _log(message: str) -> None:
@@ -80,24 +86,28 @@ def _await_cache_value(link: Link, pending: deque,
         pending.append(message)
 
 
+def _local_cache() -> ResultCache:
+    return ResultCache(max_memory_entries=LOCAL_CACHE_ENTRIES)
+
+
 def _handle_lease(link: Link, message: dict, shared_cache: bool,
-                  local_cache: Dict[str, object],
-                  pending: deque) -> None:
+                  local_cache: ResultCache, pending: deque) -> None:
     lease_id = message.get("lease")
     index = message.get("index")
     key = message.get("key")
     link.send({"reply": "ack", "lease": lease_id})
     result = None
     served = "computed"
-    if key is not None and key in local_cache:
-        result = (index, "ok", local_cache[key], 0.0, 1, (), None)
+    hit, wire = (False, None) if key is None else local_cache.get(key)
+    if hit:
+        result = (index, "ok", wire, 0.0, 1, (), None)
         served = "local"
     elif key is not None and shared_cache:
         link.send({"op": "cache_get", "lease": lease_id, "key": key})
         value = _await_cache_value(link, pending, lease_id)
         if value is not None and value.get("hit"):
             wire = decode_blob(value["wire"])
-            local_cache[key] = wire
+            local_cache.put(key, wire)
             result = (index, "ok", wire, 0.0, 1, (), None)
             served = "tier"
     if result is None:
@@ -106,41 +116,36 @@ def _handle_lease(link: Link, message: dict, shared_cache: bool,
                                  message.get("timeout"),
                                  message.get("token", ""))
         if key is not None and result[1] == "ok":
-            local_cache[key] = result[2]
+            local_cache.put(key, result[2])
     link.send({"reply": "result", "lease": lease_id, "index": index,
                "served": served, "blob": encode_blob(result)})
 
 
 def _handle_lease_batch(link: Link, message: dict,
-                        local_cache: Dict[str, object]) -> None:
-    """Execute one :class:`~repro.exec.payload.BatchPayload` lease
-    (protocol version 3): absorb the hoisted warm-norm caches exactly
-    once, then run every member through the same per-item machinery as a
-    solo lease.  The coordinator ``cache_get`` tier is deliberately *not*
+                        local_cache: ResultCache) -> None:
+    """Execute one :class:`~repro.exec.payload.BatchPayload` lease: run
+    every member through the same per-item machinery as a solo lease.
+    The coordinator ``cache_get`` tier is deliberately *not*
     consulted per member -- a per-item read-through round trip would
     reintroduce exactly the per-obligation wire latency batching exists
     to amortize; the worker's own local cache (warm across leases) still
     answers repeats, and the coordinator's write-through keeps the shared
     tier warm for later solo leases."""
-    from ..payload import _absorb_warm
-
     lease_id = message.get("lease")
     link.send({"reply": "ack", "lease": lease_id})
     batch, retry_policy = decode_blob(message["blob"])
-    for warm_key, warm_norms in batch.warm:
-        _absorb_warm(warm_key, warm_norms)
     results = []
     served = []
     for index, payload, token, key in batch.entries:
-        if key is not None and key in local_cache:
-            results.append((index, "ok", local_cache[key], 0.0, 1, (),
-                            None))
+        hit, wire = (False, None) if key is None else local_cache.get(key)
+        if hit:
+            results.append((index, "ok", wire, 0.0, 1, (), None))
             served.append("local")
             continue
         result = _process_worker(index, payload, retry_policy,
                                  message.get("timeout"), token)
         if key is not None and result[1] == "ok":
-            local_cache[key] = result[2]
+            local_cache.put(key, result[2])
         results.append(result)
         served.append("computed")
     link.send({"reply": "result_batch", "lease": lease_id,
@@ -148,7 +153,7 @@ def _handle_lease_batch(link: Link, message: dict,
 
 
 def _serve_connection(sock: socket.socket, name: str,
-                      local_cache: Dict[str, object]) -> bool:
+                      local_cache: ResultCache) -> bool:
     """Handshake and serve leases until the stream ends.  Returns False
     when the coordinator rejected us (do not reconnect)."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -214,7 +219,7 @@ def main(argv: Optional[list] = None) -> int:
                              "(default 30)")
     args = parser.parse_args(argv)
     name = args.name or f"{socket.gethostname()}-{os.getpid()}"
-    local_cache: Dict[str, object] = {}
+    local_cache = _local_cache()
 
     if args.connect is not None:
         address = parse_address(args.connect)

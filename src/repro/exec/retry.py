@@ -1,7 +1,7 @@
 """Retry policy for failing obligations: exponential backoff with
 deterministic jitter.
 
-A transiently failing obligation (a raising thunk, or one requeued after
+A transiently failing obligation (a raising payload, or one requeued after
 a worker crash) is re-fired after a delay that grows exponentially with
 the attempt number, saturating at ``max_delay``.  The jitter share that
 de-synchronizes concurrent retry storms is *deterministic*: it is derived

@@ -5,13 +5,13 @@ returns one :class:`ObligationOutcome` per obligation, **in input order**
 regardless of completion order.  Three execution backends:
 
 * ``backend='serial'`` (or ``jobs == 1``, or a single obligation) --
-  obligations run inline, in order, on the calling thread: exactly the
-  work the pre-scheduler code ran, so results are bit-identical.
+  each obligation's ``payload`` (:mod:`repro.exec.payload`) runs inline,
+  in order, on the calling thread, over the caller's live objects.
 * ``backend='process'`` (the default) -- a ``ProcessPoolExecutor`` of
-  ``jobs`` workers.  The parent ships each obligation's declarative
-  ``payload`` (:mod:`repro.exec.payload`); terms cross the boundary in
-  the structural wire format (:mod:`repro.logic.wire`), which re-interns
-  them worker-side so hash-consing identity survives.
+  ``jobs`` workers.  The parent pickles each payload to a worker; terms
+  cross the boundary in the structural wire format
+  (:mod:`repro.logic.wire`), which re-interns them worker-side so
+  hash-consing identity survives.
 * ``backend='remote'`` -- a proof farm (:mod:`repro.exec.remote`, DESIGN.md
   §16): the same payloads are *leased* to worker processes on other
   hosts over sockets, with a shared networked cache tier.
@@ -22,20 +22,22 @@ ships a dispatch unit (one obligation or a ``BatchPayload``), polls for
 completions, and reports lost units with their blame scope: the whole
 pool (:class:`_ProcessTransport`) or one connection
 (:class:`_RemoteTransport`).  Group chaining (same-``group`` obligations
-run serially, in order), cache-before-dispatch, inline payloadless
-execution, batch-unit formation, result decoding, ``stop_on``/
-``on_error`` and blame are written once, in the dispatcher.  Cache and
-telemetry live in the parent, identical on every backend.
+run serially, in order), cache-before-dispatch, batch-unit formation,
+result decoding, ``stop_on``/``on_error`` and blame are written once, in
+the dispatcher.  Every backend runs a payload through one attempt/retry
+loop (:func:`_run_payload`) and lands its result tuple through
+:meth:`ObligationScheduler._land`.  Cache and telemetry live in the
+parent, identical on every backend.
 
 Timeouts: workers arm a ``SIGALRM`` timer around each discharge, so an
 overrun is preempted and reported ``timed_out``; a process worker that
 ignores it is abandoned at a parent-side fallback deadline, an overdue
 remote lease closes its connection.  Inline work is bounded by the
-thunk's own timeouts (e.g. ``AutoProver.timeout_seconds``).
+payload's own timeouts (e.g. ``AutoProver.timeout_seconds``).
 
 Faults (DESIGN.md §12): retries follow a
 :class:`~repro.exec.retry.RetryPolicy` with deterministic jitter; a
-thunk that still raises propagates (``on_error='raise'``) or is
+payload that still raises propagates (``on_error='raise'``) or is
 recorded ``errored``.  Every member of a lost unit is blamed once and
 re-run *solo*; ``QUARANTINE_AFTER`` blames quarantine an obligation as
 ``crashed``.  An unusable backend raises :class:`BackendUnusableError`
@@ -61,7 +63,7 @@ from . import events as ev
 from .cache import default_cache
 from .config import BACKENDS, ExecConfig
 from .obligation import Obligation
-from .payload import make_batch
+from .payload import BatchPayload
 from .retry import RetryPolicy
 from .telemetry import default_telemetry
 
@@ -114,19 +116,46 @@ class _HardTimeout(BaseException):
     no ``except Exception`` inside a discharge can swallow it."""
 
 
-def _process_worker(index: int, payload, retry_policy: RetryPolicy,
-                    timeout_seconds: Optional[float], token: str) -> tuple:
-    """Execute one obligation payload in a worker.
+def _run_payload(index: int, payload, retry_policy: RetryPolicy,
+                 token: str) -> tuple:
+    """Run one payload through the attempt/retry loop every backend
+    shares.
 
     Returns ``(index, status, wire_value, wall, attempts, retry_errors,
-    exception-or-None)``, plain picklable data (an exception ships only
-    if it pickles); ``status`` is ``'ok'``, ``'timed_out'`` or
-    ``'errored'``.  The timeout covers retries and their backoff sleeps;
-    ``token`` feeds the deterministic jitter.
+    exception-or-None)``; ``status`` is ``'ok'``, ``'timed_out'`` (a
+    worker's alarm fired, retries and backoff sleeps included) or
+    ``'errored'``.  ``token`` feeds the deterministic jitter.
     """
     started = time.perf_counter()
     attempts = 0
     retry_errors: List[str] = []
+
+    def result(status, wire=None, exc=None) -> tuple:
+        return (index, status, wire, time.perf_counter() - started,
+                attempts, tuple(retry_errors), exc)
+
+    try:
+        while True:
+            attempts += 1
+            try:
+                return result("ok", payload.encode_result(payload.run()))
+            except Exception as exc:   # noqa: BLE001 - boundary by design
+                if attempts > retry_policy.retries:
+                    return result("errored",
+                                  f"{type(exc).__name__}: {exc}", exc)
+                retry_errors.append(str(exc))
+                pause = retry_policy.delay(attempts, token)
+                if pause:
+                    time.sleep(pause)
+    except _HardTimeout:
+        return result("timed_out")
+
+
+def _process_worker(index: int, payload, retry_policy: RetryPolicy,
+                    timeout_seconds: Optional[float], token: str) -> tuple:
+    """Execute one obligation payload in a worker: :func:`_run_payload`
+    under a ``SIGALRM`` timer of ``timeout_seconds``.  The result tuple
+    is plain picklable data (an exception ships only if it pickles)."""
     alarmed = False
     if timeout_seconds and hasattr(signal, "SIGALRM"):
         def _on_alarm(signum, frame):
@@ -136,49 +165,25 @@ def _process_worker(index: int, payload, retry_policy: RetryPolicy,
         signal.setitimer(signal.ITIMER_REAL, timeout_seconds)
         alarmed = True
     try:
-        while True:
-            attempts += 1
-            try:
-                value = payload.run()
-                wire = payload.encode_result(value)
-                return (index, "ok", wire,
-                        time.perf_counter() - started, attempts,
-                        tuple(retry_errors), None)
-            except _HardTimeout:
-                return (index, "timed_out", None,
-                        time.perf_counter() - started, attempts,
-                        tuple(retry_errors), None)
-            except Exception as exc:   # noqa: BLE001 - boundary by design
-                if attempts <= retry_policy.retries:
-                    retry_errors.append(str(exc))
-                    pause = retry_policy.delay(attempts, token)
-                    if pause:
-                        time.sleep(pause)
-                    continue
-                try:
-                    pickle.dumps(exc)
-                    shipped = exc
-                except Exception:   # noqa: BLE001 - anything may fail to pickle
-                    shipped = None
-                return (index, "errored",
-                        f"{type(exc).__name__}: {exc}",
-                        time.perf_counter() - started, attempts,
-                        tuple(retry_errors), shipped)
+        result = _run_payload(index, payload, retry_policy, token)
     finally:
         if alarmed:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+    if result[6] is not None:
+        try:
+            pickle.dumps(result[6])
+        except Exception:   # noqa: BLE001 - anything may fail to pickle
+            result = result[:6] + (None,)
+    return result
 
 
 def _batch_worker(batch, retry_policy: RetryPolicy,
                   timeout_seconds: Optional[float]) -> tuple:
     """Execute one :class:`~repro.exec.payload.BatchPayload` in a worker:
-    absorb the hoisted warm normalization batches once, then run each
-    entry through :func:`_process_worker` (own alarm, retries and jitter
-    per entry, as in solo dispatch).  One result tuple per entry."""
-    from .payload import _absorb_warm
-    for warm_key, warm_norms in batch.warm:
-        _absorb_warm(warm_key, warm_norms)
+    each entry runs through :func:`_process_worker` (own alarm, retries
+    and jitter per entry, as in solo dispatch).  One result tuple per
+    entry."""
     return tuple(
         _process_worker(index, payload, retry_policy, timeout_seconds,
                         token)
@@ -186,8 +191,9 @@ def _batch_worker(batch, retry_policy: RetryPolicy,
 
 
 def _batch_of(obligations, indices):
-    return make_batch([(i, obligations[i].payload, obligations[i].label,
-                        obligations[i].cache_key) for i in indices])
+    return BatchPayload(tuple((i, obligations[i].payload,
+                               obligations[i].label,
+                               obligations[i].cache_key) for i in indices))
 
 
 class _BatchSizer:
@@ -384,7 +390,7 @@ class _RemoteTransport:
         # to the obligation's wire form.
         by_key: Dict[str, Obligation] = {}
         for ob in obligations:
-            if ob.cache_key is not None and ob.payload is not None:
+            if ob.cache_key is not None:
                 by_key.setdefault(ob.cache_key, ob)
 
         def cache_lookup(key):
@@ -587,8 +593,8 @@ class ObligationScheduler:
         """The one dispatcher of the parallel backends.
 
         An obligation becomes ready once its group predecessor has a
-        terminal outcome.  A ready obligation settles on the parent when
-        it can (cache hit, payloadless) or joins a dispatch unit
+        terminal outcome.  A ready obligation settles on the parent on a
+        cache hit or joins a dispatch unit
         (:meth:`_units`).  Every member of a lost unit is blamed once --
         the parent cannot tell which member killed the worker -- and
         re-runs solo, one in flight at a time, so a second loss assigns
@@ -638,9 +644,7 @@ class ObligationScheduler:
                 stopped = True
 
         def settle_local(index: int) -> bool:
-            ob = obligations[index]
-            outcome = self._execute(ob) if ob.payload is None \
-                else self._cached(ob)
+            outcome = self._cached(obligations[index])
             if outcome is None:
                 return False
             finalize(index, outcome)
@@ -855,16 +859,15 @@ class ObligationScheduler:
 
     def _land(self, ob: Obligation, result: tuple, worker: Optional[str],
               served: Optional[str], blamed: bool) -> ObligationOutcome:
-        """Turn one worker result tuple (see :func:`_process_worker`) into
-        an outcome, decoding the value and recording telemetry."""
+        """Turn one result tuple (see :func:`_run_payload`) into an
+        outcome, decoding the value and recording telemetry."""
         _, status, wire, wall, attempts, retry_errors, exc_obj = result
         for message in retry_errors:
             self.telemetry.record(ev.RETRIED, ob.kind, ob.label,
                                   detail=message)
         if status == "ok":
             try:
-                value = ob.decode(wire) if ob.decode is not None \
-                    else ob.payload.decode_result(wire)
+                value = ob.decode(wire) if ob.decode is not None else wire
             except Exception as exc:   # noqa: BLE001 - bad wire data
                 source = f" from {worker}" if worker else ""
                 return self._errored(
@@ -885,27 +888,10 @@ class ObligationScheduler:
             str(wire), wall=wall, attempts=attempts)
 
     def _execute(self, ob: Obligation) -> ObligationOutcome:
+        """Run one obligation inline: the serial backend."""
         cached = self._cached(ob)
         if cached is not None:
             return cached
         self.telemetry.record(ev.STARTED, ob.kind, ob.label)
-        attempts = 0
-        started = time.perf_counter()
-        while True:
-            attempts += 1
-            try:
-                value = ob.thunk()
-                break
-            except Exception as exc:   # noqa: BLE001 - boundary by design
-                if attempts <= self.retry_policy.retries:
-                    self.telemetry.record(ev.RETRIED, ob.kind, ob.label,
-                                          detail=str(exc))
-                    pause = self.retry_policy.delay(attempts, ob.label)
-                    if pause:
-                        time.sleep(pause)
-                    continue
-                return self._errored(ob, exc,
-                                     wall=time.perf_counter() - started,
-                                     attempts=attempts)
-        return self._finished(ob, value, time.perf_counter() - started,
-                              attempts)
+        return self._land(ob, _run_payload(0, ob.payload, self.retry_policy,
+                                           ob.label), None, None, False)

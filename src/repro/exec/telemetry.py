@@ -67,7 +67,7 @@ class ExecStats:
 
     #: terminal obligations per kind (computed + cached + timed out + ...).
     obligations: Dict[str, int] = field(default_factory=dict)
-    #: obligations whose thunk actually ran to completion, per kind.
+    #: obligations whose payload actually ran to completion, per kind.
     computed: Dict[str, int] = field(default_factory=dict)
     #: obligations served from the result cache, per kind.
     cached: Dict[str, int] = field(default_factory=dict)

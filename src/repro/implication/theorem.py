@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..exec.config import coerce_exec_config
-from ..extract.mapper import ArchitecturalMap, build_map
+from ..extract.mapper import ArchitecturalMap
 from ..extract.matchratio import MatchRatio, match_ratio
 from ..prover import AutoProver
-from ..spec import SpecEvaluator, ast as s
-from .lemmas import Lemma, generate_lemmas, implication_tccs
-from .prover import LemmaOutcome, discharge_lemma
+from ..spec import ast as s
+from .lemmas import implication_tccs
+from .prover import LemmaOutcome
 
 __all__ = ["ImplicationResult", "prove_implication"]
 
@@ -83,43 +83,25 @@ def prove_implication(original: s.Theory, extracted: s.Theory,
     Lemma discharge runs through the obligation scheduler
     (:mod:`repro.exec`): one ``lemma`` obligation per architectural-map
     element.  ``exec`` is the :class:`~repro.exec.ExecConfig` for the
-    run.  Lemmas that run on the calling thread do so in the historical
-    order with one shared evaluator pair (bit-identical to the
-    pre-scheduler path); worker processes rebuild the whole theory
-    context from a declarative :class:`~repro.exec.LemmaPayload`.
-    Results are cached content-addressed on (theory texts, lemma
-    identity, seed).
+    run.  Every lemma payload shares one :class:`~repro.exec.TheoryPair`
+    (map, lemmas, one evaluator pair): lemmas that run on the calling
+    thread do so in order over that live pair; worker processes rebuild
+    it from its theories.  Results are cached content-addressed on
+    (theory texts, lemma identity, seed).
     """
-    from ..exec import LemmaPayload, lemma_obligation, theory_fingerprint
+    from ..exec import LemmaPayload, TheoryPair, lemma_obligation
 
     config = coerce_exec_config(exec, owner="prove_implication")
 
     started = time.perf_counter()
-    amap = build_map(original, extracted)
+    pair = TheoryPair(original, extracted)
+    amap = pair.amap
     ratio = match_ratio(original, extracted)
-    lemmas = generate_lemmas(original, amap)
-
-    orig_eval = SpecEvaluator(original)
-    ext_eval = SpecEvaluator(extracted)
-    original_fp = theory_fingerprint(original)
-    extracted_fp = theory_fingerprint(extracted)
-
-    def discharger(lemma):
-        def discharge():
-            return discharge_lemma(lemma, original, extracted, amap,
-                                   orig_eval, ext_eval, seed=seed)
-        return discharge
-
     obligations = [
-        lemma_obligation(lemma, discharger(lemma),
-                         original_fp=original_fp, extracted_fp=extracted_fp,
-                         seed=seed,
-                         payload=LemmaPayload(
-                             original=original, extracted=extracted,
-                             original_fp=original_fp,
-                             extracted_fp=extracted_fp,
-                             lemma_name=lemma.name, seed=seed))
-        for lemma in lemmas
+        lemma_obligation(lemma, LemmaPayload(theories=pair,
+                                             lemma_name=lemma.name,
+                                             seed=seed))
+        for lemma in pair.lemmas
     ]
     outcomes = [result.value
                 for result in config.scheduler().run(obligations)]

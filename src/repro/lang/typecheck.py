@@ -17,6 +17,7 @@ problem at once.
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from . import ast
@@ -103,6 +104,12 @@ class TypedPackage:
         self.signatures: Dict[str, ast.Subprogram] = {}
         self._contexts: Dict[str, SubprogramContext] = {}
         self.errors: List[str] = []
+
+    def __reduce__(self):
+        # Pickles as its rebuildable form, (fingerprint, AST): the
+        # receiving process analyzes each package once.
+        from ..exec.cache import package_fingerprint
+        return (_unpickle_typed, (package_fingerprint(self), self.package))
 
     # -- symbol lookup ---------------------------------------------------
 
@@ -534,4 +541,22 @@ def analyze(package: ast.Package) -> TypedPackage:
         raise TypeError_("; ".join(typed.errors[:20]) +
                          (f" (+{len(typed.errors) - 20} more)"
                           if len(typed.errors) > 20 else ""))
+    return typed
+
+
+#: Packages analyzed on unpickling, keyed by fingerprint, most recently
+#: used last: a worker receives one package with many obligations.
+_UNPICKLED: "OrderedDict[str, TypedPackage]" = OrderedDict()
+#: Bound on :data:`_UNPICKLED`.
+UNPICKLED_PACKAGES = 16
+
+
+def _unpickle_typed(fp: str, package: ast.Package) -> TypedPackage:
+    typed = _UNPICKLED.get(fp)
+    if typed is None:
+        typed = _UNPICKLED[fp] = analyze(package)
+        while len(_UNPICKLED) > UNPICKLED_PACKAGES:
+            _UNPICKLED.popitem(last=False)
+    else:
+        _UNPICKLED.move_to_end(fp)
     return typed

@@ -16,11 +16,10 @@ besides the term itself (package fingerprint, subprogram -- the type-bound
 hook differs per subprogram -- excluded rule families, and whether the
 prover's extra rules are loaded).  Keying on :func:`repro.logic.canon
 .fingerprint` rather than interning ids makes entries meaningful across
-rewriter instances, across threads, and across the process boundary: the
-implementation-proof session exports a subprogram's warm entries into its
-:class:`~repro.exec.payload.VCPayload` batch, and process-pool workers
-absorb them before discharging (terms re-intern through the wire format,
-so the cached normal forms keep hash-consing identity worker-side).
+rewriter instances and across threads.  A cache travels inside :class:`~repro.exec.payload.VCPayload` as a live
+object: inline discharge shares the caller's instance, and a pickled
+cache lands as the receiving process's :func:`default_norm_cache`, which
+every VC a worker discharges shares.
 
 Soundness is inherited from the rewriter's own DAG memo: rewriting is
 context-free (a rule sees one node, never its ancestors), so a subterm's
@@ -34,10 +33,9 @@ the key), it only bounds memory.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .terms import Term
 
@@ -93,26 +91,9 @@ class NormalizationCache:
         .Rewriter`'s ``shared`` parameter."""
         return NormScope(self, rules_key)
 
-    # -- payload warm-shipping ----------------------------------------------
-
-    def export(self, rules_key: str,
-               limit: Optional[int] = None) -> List[Tuple[str, Term]]:
-        """The scope's ``(fingerprint, normal form)`` pairs, most recently
-        used last; with ``limit``, only the *most* recently used entries
-        (the biggest, latest-converging subtrees publish last, so the MRU
-        tail is the valuable end to ship to workers)."""
-        with self._lock:
-            pairs = [(fp, term) for (rk, fp), term in self._entries.items()
-                     if rk == rules_key]
-        if limit is not None and len(pairs) > limit:
-            pairs = pairs[-limit:]
-        return pairs
-
-    def absorb(self, rules_key: str,
-               pairs: Iterable[Tuple[str, Term]]) -> None:
-        """Install exported entries (worker-side warm-up)."""
-        for fp, term in pairs:
-            self.put(rules_key, fp, term)
+    def __reduce__(self):
+        # Pickles as the receiving process's own cache (module docstring).
+        return (default_norm_cache, ())
 
     # -- stats / maintenance ------------------------------------------------
 
@@ -157,13 +138,10 @@ _DEFAULT_LOCK = threading.Lock()
 
 
 def default_norm_cache() -> NormalizationCache:
-    """The process-wide cache (used by process-pool workers, where the
-    session object that owns a per-run instance does not exist).
-    ``REPRO_NORM_CACHE_SIZE`` overrides the capacity."""
+    """The process-wide cache: what a pickled cache unpickles to, so the
+    VCs a process-pool or farm worker discharges share it."""
     global _DEFAULT
     with _DEFAULT_LOCK:
         if _DEFAULT is None:
-            size = int(os.environ.get("REPRO_NORM_CACHE_SIZE", "0")) \
-                or DEFAULT_NORM_CACHE_ENTRIES
-            _DEFAULT = NormalizationCache(max_entries=size)
+            _DEFAULT = NormalizationCache()
         return _DEFAULT

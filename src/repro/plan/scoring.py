@@ -27,9 +27,10 @@ its internal budgets are deterministic), so scores are bit-identical
 across the serial, process, and remote backends.
 
 :func:`evaluate_candidate` is module-level and operates on picklable
-arguments, so the planner fans evaluations out as Obligations carrying
-:class:`~repro.exec.payload.CallPayload` -- candidate scoring rides the
-proof farm for free.
+arguments (a typed package pickles as its AST and is re-analyzed once
+per worker), so the planner fans evaluations out as Obligations
+carrying :class:`~repro.exec.payload.CallPayload` -- candidate scoring
+rides the proof farm for free.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
-
-from ..exec.payload import _typed_package
 
 __all__ = [
     "ScoreWeights", "StateEvaluation", "evaluate_candidate",
@@ -145,15 +144,15 @@ def candidate_token(transformation) -> str:
 # Evaluation (module-level: rides CallPayload through every backend)
 # ---------------------------------------------------------------------------
 
-def evaluate_candidate(package, package_fp: str, transformation,
+def evaluate_candidate(typed, transformation,
                        reference, parent_match: Optional[tuple] = None,
                        probe: bool = False,
                        probe_tree_bytes: int = DEFAULT_PROBE_TREE_BYTES,
                        probe_vcs: int = DEFAULT_PROBE_VCS
                        ) -> Dict[str, Any]:
-    """Mechanically apply ``transformation`` to ``package`` and measure
-    the result state; with ``transformation=None``, measure ``package``
-    itself (the root state).
+    """Mechanically apply ``transformation`` to the typed package
+    ``typed`` and measure the result state; with ``transformation=None``,
+    measure ``typed`` itself (the root state).
 
     Returns :class:`StateEvaluation` as a JSON dict (the obligation cache
     stores it verbatim).  ``parent_match`` is the parent state's
@@ -166,7 +165,6 @@ def evaluate_candidate(package, package_fp: str, transformation,
     from ..metrics import complexity_metrics, element_metrics
     from ..refactor.engine import TransformationError
 
-    typed = _typed_package(package_fp, package)
     if transformation is None:
         child = typed
     else:

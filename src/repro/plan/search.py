@@ -421,22 +421,14 @@ class Planner:
         kwargs = dict(parent_match=parent_match, probe=probe,
                       probe_tree_bytes=self.probe_tree_bytes,
                       probe_vcs=self.probe_vcs)
-        package = state.package
-
-        def thunk(package=package, fp=state.fingerprint,
-                  transformation=transformation, kwargs=kwargs):
-            return evaluate_candidate(package, fp, transformation,
-                                      self.reference, **kwargs)
-
         return Obligation(
             kind=PLAN_EVAL, label=f"eval:{transformation.describe()}",
-            thunk=thunk, cache_key=key,
-            encode=_identity, decode=_identity,
             payload=CallPayload(
                 fn=evaluate_candidate,
-                args=(package, state.fingerprint, transformation,
+                args=(self._typed_of[state.fingerprint], transformation,
                       self.reference),
-                kwargs=tuple(sorted(kwargs.items()))))
+                kwargs=tuple(sorted(kwargs.items()))),
+            cache_key=key, encode=_identity, decode=_identity)
 
     def _measure_root(self, root_fp: str) -> dict:
         self._evaluations += 1
@@ -448,7 +440,7 @@ class Planner:
             if cached is not None:
                 return cached
         value = evaluate_candidate(
-            self.typed.package, root_fp, None, self.reference,
+            self.typed, None, self.reference,
             probe=True, probe_tree_bytes=self.probe_tree_bytes,
             probe_vcs=self.probe_vcs)
         if self._cache is not None:

@@ -36,11 +36,13 @@ __all__ = [
 #: (no version field on the wire); version 2 added the explicit
 #: ``protocol`` field and the remote-worker handshake that requires it;
 #: version 3 adds the batched lease generation (``lease_batch`` /
-#: ``result_batch``, DESIGN.md §18).  A version-2 worker cannot decode a
-#: ``lease_batch``, so the handshake must reject it -- bumping here is
+#: ``result_batch``, DESIGN.md §18); version 4 changes the pickled
+#: payload shapes inside lease blobs (typed packages instead of bare
+#: ASTs, no warm normal forms).  An older worker cannot decode the
+#: current leases, so the handshake must reject it -- bumping here is
 #: what turns that skew into a loud ``protocol_mismatch`` instead of a
-#: silently stalled batch.
-PROTOCOL_VERSION = 3
+#: lease that fails mid-run.
+PROTOCOL_VERSION = 4
 
 #: The machine-readable ``code`` vocabulary of ``error`` replies, shared
 #: by the serve daemon and the farm coordinator.  ``protocol_mismatch``

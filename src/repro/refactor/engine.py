@@ -382,10 +382,9 @@ class RefactoringEngine:
         ``DifferentialResult`` is the same either way."""
         import random as _random
 
-        from ..equiv.differential import DifferentialResult, _compare
+        from ..equiv.differential import DifferentialResult
         from ..equiv.model import input_params, random_state
-        from ..exec import EquivTrialPayload, equiv_trial_obligation, \
-            package_fingerprint
+        from ..exec import EquivTrialPayload, equiv_trial_obligation
 
         sp_before = before.signatures[name]
         sp_after = after.signatures[name]
@@ -398,19 +397,10 @@ class RefactoringEngine:
                   else random_state(before, sp_before, rng)
                   for _ in range(self.trials)]
 
-        left_fp = package_fingerprint(before)
-        right_fp = package_fingerprint(after)
         obligations = [
-            equiv_trial_obligation(
-                i, name, state,
-                (lambda s=state: _compare(before, name, after, name, s)),
-                left_fp=left_fp, right_fp=right_fp,
-                payload=EquivTrialPayload(
-                    left_package=before.package,
-                    right_package=after.package,
-                    left_fp=left_fp, right_fp=right_fp,
-                    left_name=name, right_name=name,
-                    initial=tuple(sorted(state.items()))))
+            equiv_trial_obligation(i, EquivTrialPayload(
+                left=before, right=after, left_name=name, right_name=name,
+                initial=tuple(state.items())))
             for i, state in enumerate(states)
         ]
         results = self.exec.scheduler().run(

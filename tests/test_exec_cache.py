@@ -8,8 +8,8 @@ import pytest
 
 from repro.defects.curated import curated_defects
 from repro.exec import (
-    ExecConfig, ObligationScheduler, Obligation, ResultCache, Telemetry,
-    make_key, package_fingerprint,
+    CallPayload, ExecConfig, ObligationScheduler, Obligation, ResultCache,
+    Telemetry, make_key, package_fingerprint,
 )
 from repro.lang import analyze, parse_package
 from repro.logic import add, canonical_text, fingerprint, intc, mk, var
@@ -181,7 +181,8 @@ class TestDiskStore:
     def test_scheduler_ignores_disk_for_uncodable_obligations(self, tmp_path):
         """Obligations without codecs stay memory-only (no files)."""
         cache = ResultCache(disk_dir=tmp_path / "c")
-        ob = Obligation(kind="vc", label="raw", thunk=lambda: 41 + 1,
+        ob = Obligation(kind="vc", label="raw",
+                        payload=CallPayload(lambda: 41 + 1),
                         cache_key=make_key("raw"))
         scheduler = ObligationScheduler(jobs=1, cache=cache)
         [outcome] = scheduler.run([ob])

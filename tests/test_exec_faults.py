@@ -68,6 +68,10 @@ def _faulty_value(state_dir, name, plan, value):
     return value
 
 
+def _square(x):
+    return x * x
+
+
 def _busy(seconds):
     deadline = time.time() + seconds
     while time.time() < deadline:
@@ -101,22 +105,12 @@ class ChaosPayload(ObligationPayload):
     def encode_result(self, value):
         return self.inner.encode_result(value)
 
-    def decode_result(self, wire):
-        return self.inner.decode_result(wire)
-
 
 def _chaos_wrap(ob, state_dir, plan):
     if not plan:
         return ob
-    inner_thunk = ob.thunk
-
-    def thunk():
-        _apply_fault(state_dir, ob.label, plan)
-        return inner_thunk()
-
-    payload = None if ob.payload is None else ChaosPayload(
-        inner=ob.payload, state_dir=state_dir, name=ob.label, plan=plan)
-    return replace(ob, thunk=thunk, payload=payload)
+    return replace(ob, payload=ChaosPayload(
+        inner=ob.payload, state_dir=state_dir, name=ob.label, plan=plan))
 
 
 @contextmanager
@@ -140,8 +134,8 @@ def _inject(state_dir, planner):
 def _faulty_ob(state_dir, name, plan, value, group=None):
     payload = CallPayload(_faulty_value,
                           (str(state_dir), name, tuple(plan), value))
-    return Obligation(kind="chaos", label=name, thunk=payload.run,
-                      group=group, payload=payload)
+    return Obligation(kind="chaos", label=name, payload=payload,
+                      group=group)
 
 
 def _scheduler(**kw):
@@ -269,7 +263,7 @@ class TestCrashRecovery:
         assert all(o.ok for o in outcomes)
 
     def test_transient_raise_recovers_on_all_backends(self, tmp_path):
-        """A thunk/payload that raises once is absorbed by the retry
+        """A payload that raises once is absorbed by the retry
         policy on every backend and recorded as ``retried_ok``."""
         for backend, jobs in (("serial", 1), ("process", 2)):
             telemetry = Telemetry()
@@ -290,7 +284,8 @@ class TestCrashRecovery:
 
 def _obs(n=4):
     return [Obligation(kind="test", label=f"o{i}",
-                       thunk=lambda i=i: i * i) for i in range(n)]
+                       payload=CallPayload(_square, (i,)))
+            for i in range(n)]
 
 
 class TestDegradation:
@@ -353,7 +348,6 @@ class TestFailureTaxonomy:
             _faulty_ob(tmp_path, "flaky", ("raise",), 2),
             _faulty_ob(tmp_path, "killer", ("crash",) * 8, 3),
             Obligation(kind="chaos", label="hang",
-                       thunk=lambda: _busy(30.0),
                        payload=CallPayload(_busy, (30.0,))),
         ]
         outcomes = _scheduler(telemetry=telemetry, timeout_seconds=0.3,
@@ -396,7 +390,6 @@ class TestAbandonedWorkers:
                             "TIMEOUT_FALLBACK_SLACK", 0.3)
         telemetry = Telemetry()
         wedged = Obligation(kind="test", label="wedged",
-                            thunk=lambda: "unused",
                             payload=CallPayload(_hang_ignoring_alarm,
                                                 (3.0,)))
         outcomes = _scheduler(telemetry=telemetry,
@@ -596,7 +589,6 @@ class TestBatchedChaos:
                             "TIMEOUT_FALLBACK_SLACK", 0.3)
         telemetry = Telemetry()
         wedged = [Obligation(kind="test", label=f"w{i}",
-                             thunk=lambda: "unused",
                              payload=CallPayload(_hang_ignoring_alarm,
                                                  (6.0,)))
                   for i in range(2)]

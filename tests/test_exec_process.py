@@ -40,8 +40,8 @@ def _busy_wait(seconds):
 
 
 def _ob(label, payload, group=None, key=None):
-    return Obligation(kind="test", label=label, thunk=payload.run,
-                      cache_key=key, group=group, payload=payload)
+    return Obligation(kind="test", label=label, payload=payload,
+                      cache_key=key, group=group)
 
 
 def _scheduler(**kw):
@@ -66,18 +66,6 @@ class TestProcessScheduling:
                for i in range(5)]
         outcomes = _scheduler(jobs=4).run(obs)
         assert [o.value[1] for o in outcomes] == list(range(5))
-
-    def test_payloadless_obligation_runs_inline(self):
-        """An obligation without a payload still completes under the
-        process backend -- inline on the parent."""
-        sentinel = []
-        plain = Obligation(kind="test", label="inline",
-                           thunk=lambda: sentinel.append(os.getpid()) or 7)
-        shipped = _ob("shipped", CallPayload(_square, (3,)))
-        outcomes = _scheduler().run([plain, shipped])
-        assert outcomes[0].value == 7
-        assert sentinel == [os.getpid()]      # the closure ran here
-        assert outcomes[1].value == 9
 
     def test_on_error_record_and_retries(self):
         outcomes = _scheduler(on_error="record", retries=1).run(

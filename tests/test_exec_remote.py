@@ -78,8 +78,8 @@ def _crash_once(sentinel, value):
 # -- helpers ---------------------------------------------------------------
 
 def _ob(label, payload, group=None, key=None):
-    return Obligation(kind="test", label=label, thunk=payload.run,
-                      cache_key=key, group=group, payload=payload)
+    return Obligation(kind="test", label=label, payload=payload,
+                      cache_key=key, group=group)
 
 
 def _scheduler(addresses, **kw):
@@ -162,18 +162,6 @@ class TestRemoteScheduling:
                 [_ob(f"g{i}", CallPayload(_pid_tag, (i,)), group="g")
                  for i in range(5)])
             assert [o.value[1] for o in outcomes] == list(range(5))
-
-    def test_payloadless_obligation_runs_inline(self):
-        with farm(1) as addresses:
-            sentinel = []
-            plain = Obligation(
-                kind="test", label="inline",
-                thunk=lambda: sentinel.append(os.getpid()) or 7)
-            outcomes = _scheduler(addresses).run(
-                [plain, _ob("shipped", CallPayload(_square, (3,)))])
-            assert outcomes[0].value == 7
-            assert sentinel == [os.getpid()]
-            assert outcomes[1].value == 9
 
     def test_on_error_record_and_raise(self):
         with farm(1) as addresses:
@@ -355,51 +343,56 @@ class TestRemoteHandshake:
                 proc.wait()
 
     def test_previous_protocol_version_rejected(self):
-        """Protocol 3 added the batched lease generation; a version-2
+        """Protocol 3 added the batched lease generation and protocol 4
+        changed the pickled payload shapes inside lease blobs; an older
         hello therefore cannot be grandfathered in -- the worker would
-        sit on ``lease_batch`` messages it cannot decode."""
-        assert PROTOCOL_VERSION >= 3
+        fail on leases it cannot decode."""
+        assert PROTOCOL_VERSION >= 4
         coordinator = RemoteCoordinator(listen="127.0.0.1:0")
         coordinator.start()
         try:
-            link = self._dial(coordinator)
-            link.send({"op": "hello", "protocol": 2,
-                       "name": "relic", "pid": 1})
-            reply = link.recv(timeout=5.0)
-            assert reply["reply"] == "error"
-            assert reply["code"] == "protocol_mismatch"
-            link.close()
+            for version in (2, 3):
+                link = self._dial(coordinator)
+                link.send({"op": "hello", "protocol": version,
+                           "name": "relic", "pid": 1})
+                reply = link.recv(timeout=5.0)
+                assert reply["reply"] == "error", version
+                assert reply["code"] == "protocol_mismatch", version
+                link.close()
         finally:
             coordinator.stop()
 
     def test_old_version_worker_process_exits_cleanly(self):
         """End to end: a worker binary from before the batching protocol
-        (simulated by pinning ``PROTOCOL_VERSION = 2`` before the worker
-        module binds it) dials a current coordinator and exits
+        (version 2) or before the current payload shapes (version 3),
+        simulated by pinning ``PROTOCOL_VERSION`` before the worker
+        module binds it, dials a current coordinator and exits
         ``REJECTED_EXIT`` -- a clean, diagnosable rejection rather than
         a hang or a garbled lease."""
         import subprocess
         import sys as _sys
         coordinator = RemoteCoordinator(listen="127.0.0.1:0")
         coordinator.start()
-        script = (
-            "import sys, repro.protocol as protocol\n"
-            "protocol.PROTOCOL_VERSION = 2\n"
-            "from repro.exec.remote import worker\n"
-            "sys.exit(worker.main(['--connect', sys.argv[1],"
-            " '--name', 'relic']))\n")
         src = os.path.join(ROOT, "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src, ROOT] + ([env["PYTHONPATH"]]
                            if env.get("PYTHONPATH") else []))
+        proc = None
         try:
-            proc = subprocess.Popen(
-                [_sys.executable, "-c", script,
-                 coordinator.bound_address], env=env)
-            assert proc.wait(timeout=20.0) == REJECTED_EXIT
+            for version in (2, 3):
+                script = (
+                    "import sys, repro.protocol as protocol\n"
+                    f"protocol.PROTOCOL_VERSION = {version}\n"
+                    "from repro.exec.remote import worker\n"
+                    "sys.exit(worker.main(['--connect', sys.argv[1],"
+                    " '--name', 'relic']))\n")
+                proc = subprocess.Popen(
+                    [_sys.executable, "-c", script,
+                     coordinator.bound_address], env=env)
+                assert proc.wait(timeout=20.0) == REJECTED_EXIT, version
         finally:
-            if proc.poll() is None:
+            if proc is not None and proc.poll() is None:
                 proc.kill()
                 proc.wait()
             coordinator.stop()

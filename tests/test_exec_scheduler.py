@@ -1,7 +1,6 @@
 """Scheduler tests: serial/parallel equivalence on a real proof, group
 ordering, timeout handling, retries, early exit, and error recording."""
 
-import threading
 import time
 
 import pytest
@@ -48,6 +47,13 @@ def _sleep_then(seconds, value):
     return value
 
 
+def _append_then(path, tag):
+    with open(path, "a") as handle:
+        handle.write(f"{tag}\n")
+    time.sleep(0.01)
+    return tag
+
+
 def outcome_key(o):
     return (o.vc.subprogram, o.vc.name, o.vc.kind, o.stage,
             o.result.proved if o.result else None)
@@ -80,47 +86,38 @@ class TestSerialParallelEquivalence:
 
 
 class TestScheduling:
-    def _obligation(self, label, fn, group=None):
-        return Obligation(kind="vc", label=label, thunk=fn,
+    def _obligation(self, label, fn, *args, group=None):
+        return Obligation(kind="vc", label=label,
+                          payload=CallPayload(fn, args),
                           cache_key=make_key(label), group=group)
 
+    def test_obligation_without_payload_fails_loudly(self):
+        with pytest.raises(TypeError):
+            Obligation(kind="vc", label="bare")
+        for bad in (None, lambda: 1):
+            with pytest.raises(TypeError, match="payload"):
+                Obligation(kind="vc", label="bare", payload=bad)
+
     def test_results_in_input_order(self):
-        def make(i):
-            def work():
-                time.sleep(0.01 * ((7 - i) % 3))  # finish out of order
-                return i
-            return work
-        obs = [self._obligation(f"o{i}", make(i)) for i in range(8)]
+        # finish out of order
+        obs = [self._obligation(f"o{i}", _sleep_then, 0.01 * ((7 - i) % 3),
+                                i) for i in range(8)]
         outcomes = ObligationScheduler(jobs=4, cache=False).run(obs)
         assert [o.value for o in outcomes] == list(range(8))
 
-    def test_groups_run_serially_in_order(self):
-        trace = []
-        lock = threading.Lock()
-
-        def make(tag):
-            def work():
-                with lock:
-                    trace.append(tag)
-                time.sleep(0.01)
-                return tag
-            return work
-
-        obs = [self._obligation(f"g{i}", make(i), group="shared")
+    def test_groups_run_serially_in_order(self, tmp_path):
+        trace = tmp_path / "trace"
+        obs = [self._obligation(f"g{i}", _append_then, str(trace), i,
+                                group="shared")
                for i in range(6)]
         ObligationScheduler(jobs=4, cache=False).run(obs)
-        assert trace == list(range(6))
+        assert trace.read_text().split() == [str(i) for i in range(6)]
 
     def test_timeout_marks_timed_out_not_crash(self):
-        # Shipped (payload-carrying) obligations: the worker's SIGALRM
-        # preempts the overrun; inline thunks could not be interrupted.
-        def shipped(label, fn, *args):
-            payload = CallPayload(fn, args)
-            return Obligation(kind="vc", label=label, thunk=payload.run,
-                              cache_key=make_key(label), payload=payload)
-        obs = [shipped("fast", str, "ok"),
-               shipped("slow", _sleep_then, 5, "late"),
-               shipped("after", str, "ok2")]
+        # The process workers' SIGALRM preempts the overrun.
+        obs = [self._obligation("fast", str, "ok"),
+               self._obligation("slow", _sleep_then, 5, "late"),
+               self._obligation("after", str, "ok2")]
         started = time.perf_counter()
         outcomes = ObligationScheduler(
             jobs=2, cache=False, timeout_seconds=0.2).run(obs)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.exec import ExecConfig, ResultCache, package_fingerprint
+from repro.exec import ExecConfig, ResultCache
 from repro.lang import analyze, parse_package
 from repro.extract.skeleton import extract_skeleton
 from repro.plan import (
@@ -149,8 +149,7 @@ class TestScoring:
     def evaluate(self, source, probe=False):
         typed = analyze(parse_package(source))
         return StateEvaluation.from_json(evaluate_candidate(
-            typed.package, package_fingerprint(typed), None,
-            reference_for(TARGET), probe=probe))
+            typed, None, reference_for(TARGET), probe=probe))
 
     def test_score_increases_toward_the_specification(self):
         # The gradient the search climbs is the one the paper's human
@@ -172,14 +171,13 @@ class TestScoring:
 
         def best_reroll_score(source):
             typed = analyze(parse_package(source))
-            fp = package_fingerprint(typed)
             best = None
             for cand in enumerate_candidates(typed, 0.0, Catalog(),
                                              frozenset(), reference):
                 if type(cand.transformation).__name__ != "RerollLoop":
                     continue
                 ev = StateEvaluation.from_json(evaluate_candidate(
-                    typed.package, fp, cand.transformation, reference))
+                    typed, cand.transformation, reference))
                 if ev.applicable:
                     score = ev.static_score(weights)
                     best = score if best is None else max(best, score)
@@ -200,7 +198,7 @@ class TestScoring:
         from repro.refactor import RerollLoop
         typed = analyze(parse_package(TARGET))
         evaluation = StateEvaluation.from_json(evaluate_candidate(
-            typed.package, package_fingerprint(typed),
+            typed,
             RerollLoop(subprogram="Q", start=0, group_size=1, count=99),
             reference_for(TARGET)))
         assert not evaluation.applicable
