@@ -150,16 +150,15 @@ class SymbolicExecutor:
         memo[term._id] = result
         return result
 
-    _summary_cache: Dict[Tuple[int, str], SymbolicSummary] = {}
-
     def execute_cached(self, name: str) -> SymbolicSummary:
-        key = (id(self.typed), name)
-        hit = self._summary_cache.get(key)
+        # Summaries live on the package they summarize, so they are freed
+        # with it and never outlive it into a reused id().
+        hit = self.typed.summaries.get(name)
         if hit is None:
             saved = self.steps
             hit = self.execute(name)
             self.steps += saved
-            self._summary_cache[key] = hit
+            self.typed.summaries[name] = hit
         return hit
 
     def _block(self, stmts, state, ctx, sp, depth

@@ -104,6 +104,9 @@ class TypedPackage:
         self.signatures: Dict[str, ast.Subprogram] = {}
         self._contexts: Dict[str, SubprogramContext] = {}
         self.errors: List[str] = []
+        #: Symbolic function summaries by name, filled by
+        #: ``SymbolicExecutor.execute_cached``.
+        self.summaries: Dict[str, object] = {}
 
     def __reduce__(self):
         # Pickles as its rebuildable form, (fingerprint, AST): the

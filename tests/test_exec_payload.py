@@ -2,8 +2,10 @@
 every backend; live payload fields that pickle as their rebuildable
 form; and the bounded per-process memos behind that rebuilding."""
 
+import gc
 import os
 import pickle
+import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from typing import Any
@@ -12,6 +14,7 @@ import pytest
 
 import repro.exec.payload as payload_mod
 import repro.lang.typecheck as typecheck
+from repro.equiv.symbolic import SymbolicExecutor
 from repro.exec import (
     CallPayload, EquivTrialPayload, ExecConfig, LemmaPayload,
     ObligationPayload, ObligationScheduler, Telemetry, TheoryPair, VCPayload,
@@ -23,8 +26,11 @@ from repro.exec.retry import RetryPolicy
 from repro.extract import extract_specification
 from repro.implication import prove_implication
 from repro.lang import analyze, parse_package
-from repro.logic import NormalizationCache, default_norm_cache
+from repro.logic import (
+    NormalizationCache, apply, default_norm_cache, eq, intc, var, xor,
+)
 from repro.prover import ImplementationProof
+from repro.prover.tactics import Expand, ProofScript
 from repro.spec import parse_theory
 
 from tests.test_exec_scheduler import SRC
@@ -153,6 +159,17 @@ def _trial(left, right):
                              initial=(("A", (1, 2, 3, 4)),))
 
 
+_XOR_F = """
+package P is
+   type Byte is mod 256;
+   function F (X : in Byte) return Byte is
+   begin
+      return X xor %d;
+   end F;
+end P;
+"""
+
+
 def _round_trip(payload):
     return pickle.loads(pickle.dumps(payload))
 
@@ -170,6 +187,37 @@ class TestBoundedMemos:
             for trial, cx in zip(trials, expected):
                 assert _round_trip(trial).run() == cx
                 assert len(typecheck._UNPICKLED) <= 3
+
+    def test_evicted_package_summaries_die_with_it(self, monkeypatch):
+        # Packages differing only in F's body, shipped through a memo
+        # that evicts them: each Expand verdict must be its own body's,
+        # even when a new package lands at an evicted package's address.
+        monkeypatch.setattr(typecheck, "UNPICKLED_PACKAGES", 2)
+        monkeypatch.setattr(typecheck, "_UNPICKLED", OrderedDict())
+        script = ProofScript(name="expand-f", tactics=(Expand("F"),))
+        goal = eq(apply("F", var("y")), xor(var("y"), intc(5)))
+        payloads = [VCPayload(typed=analyze(parse_package(_XOR_F % k)),
+                              subprogram="F", term=goal, scripts=(script,),
+                              auto_timeout=None,
+                              norm_cache=NormalizationCache(),
+                              hotpath=payload_mod.HotpathTally())
+                    for k in range(1, 9)]
+        expected = [p.run()[0] for p in payloads]
+        assert expected.count("interactive") == 1
+        assert expected.count("undischarged") == 7
+        for _ in range(3):
+            summaries = []
+            for payload, verdict in zip(payloads, expected):
+                clone = _round_trip(payload)
+                assert clone.run()[0] == verdict
+                assert len(typecheck._UNPICKLED) <= 2
+                summaries.append(weakref.ref(
+                    SymbolicExecutor(clone.typed).execute_cached("F")))
+                del clone
+                gc.collect()
+            # an evicted package's summary is gone, not left to be found
+            # again through a reused key
+            assert all(ref() is None for ref in summaries[:-2])
 
     def test_theory_pairs_stay_bounded(self, monkeypatch):
         monkeypatch.setattr(payload_mod, "THEORY_PAIRS_PER_PROCESS", 2)
