@@ -19,7 +19,7 @@ Every timing leg spawns *fresh* worker processes: ``--listen`` workers
 keep a local result cache that is warm across runs, which is a feature
 in production and a contaminant in a scaling measurement.
 
-Results are written to ``BENCH_pr8.json`` at the repo root
+Results are written to ``results/BENCH_pr8.json`` (gitignored)
 (``bench-farm/v1``).  Runnable standalone
 (``python benchmarks/bench_farm.py [--check]``) or under pytest
 (``python -m pytest benchmarks/bench_farm.py -q -s``).  The
@@ -49,7 +49,8 @@ _MIN_SPEEDUP = 1.5
 #: The warm shared-cache repeat must beat its cold first run.
 _MIN_WARM_SPEEDUP = 2.0
 
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr8.json"
+_OUT = Path(__file__).resolve().parent.parent / "results" \
+    / "BENCH_pr8.json"
 
 
 def _keys(result):
@@ -160,6 +161,7 @@ def run_farm_bench(check: bool):
         "worker_loss_seconds": crash_seconds,
         "legs_identical_to_reference": True,
     }
+    _OUT.parent.mkdir(exist_ok=True)
     _OUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
@@ -174,7 +176,7 @@ def run_farm_bench(check: bool):
     print(f"worker loss   {crash_seconds:.1f} s "
           f"(1 of 2 workers SIGKILLed mid-run)")
     print("differential  every farm shape == serial reference")
-    print(f"results       {_OUT.name}")
+    print(f"results       results/{_OUT.name}")
 
     scaling_ok = scaling >= _MIN_SPEEDUP
     warm_ok = warm_speedup >= _MIN_WARM_SPEEDUP

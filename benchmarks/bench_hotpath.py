@@ -16,9 +16,9 @@ Three legs:
   counters;
 * **implication proof** -- the full 6.2.4 pipeline end to end.
 
-Results are written to ``BENCH_pr5.json`` at the repo root with a stable
-schema (``bench-hotpath/v1``): wall times, rewrite work units and cache
-hit rates per stage.
+Results are written to ``results/BENCH_pr5.json`` (gitignored) with a
+stable schema (``bench-hotpath/v1``): wall times, rewrite work units and
+cache hit rates per stage.
 
 Runnable standalone (``python benchmarks/bench_hotpath.py [--check]``)
 or under pytest (``python -m pytest benchmarks/bench_hotpath.py -q -s``).
@@ -55,7 +55,8 @@ _MIN_SPEEDUP = 1.3
 
 _ROUNDS = 5
 
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr5.json"
+_OUT = Path(__file__).resolve().parent.parent / "results" \
+    / "BENCH_pr5.json"
 
 
 def _corpus():
@@ -207,6 +208,7 @@ def run_hotpath_bench(check: bool):
         "implementation_proof": _impl_proof(),
         "implication_proof": _implication_proof(),
     }
+    _OUT.parent.mkdir(exist_ok=True)
     _OUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     micro = payload["rewrite_microbench"]
@@ -226,7 +228,7 @@ def run_hotpath_bench(check: bool):
           f"{impl['cross_vc_hits']} cross-VC hits)")
     print(f"implication proof {imp['wall_seconds']:.1f} s end to end "
           f"({imp['lemma_count']} lemmas, holds={imp['holds']})")
-    print(f"results           {_OUT.name}")
+    print(f"results           results/{_OUT.name}")
 
     floor_ok = micro["speedup"] >= _MIN_SPEEDUP
     if check:

@@ -21,7 +21,7 @@ streams are comparable VC for VC):
   cone re-checks and the incremental verdicts (including the failures)
   match the cold reference.
 
-Results are written to ``BENCH_pr7.json`` at the repo root
+Results are written to ``results/BENCH_pr7.json`` (gitignored)
 (``bench-incr/v1``).  Runnable standalone
 (``python benchmarks/bench_incr.py [--check]``) or under pytest.
 Verdict identity is asserted in every mode; the speedup floor is
@@ -53,7 +53,8 @@ CHECK_MODE = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")
 #: a ~467-VC corpus measures far above it on an idle core).
 _MIN_SPEEDUP = 10.0
 
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr7.json"
+_OUT = Path(__file__).resolve().parent.parent / "results" \
+    / "BENCH_pr7.json"
 
 
 def _serial(cache):
@@ -232,6 +233,7 @@ def run_incr_bench(check: bool):
         "body_edit_speedup": round(speedup, 2),
         "scenarios": scenarios,
     }
+    _OUT.parent.mkdir(exist_ok=True)
     _OUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
@@ -247,7 +249,7 @@ def run_incr_bench(check: bool):
               f"identical{edited}")
     print(f"body-edit speedup {speedup:.1f}x "
           f"(floor {_MIN_SPEEDUP:.0f}x)")
-    print(f"results           {_OUT.name}")
+    print(f"results           results/{_OUT.name}")
 
     if check:
         assert speedup >= _MIN_SPEEDUP, (

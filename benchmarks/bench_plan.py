@@ -22,7 +22,7 @@ legs:
   least ``_MIN_AUTO_PERCENT`` of its VCs (the paper's figure-3 floor:
   93.6%).
 
-Results are written to ``BENCH_pr10.json`` at the repo root
+Results are written to ``results/BENCH_pr10.json`` (gitignored)
 (``bench-plan/v2``), including ``cpu_count`` so single-core CI boxes --
 where a process farm cannot beat wall-clock serial no matter how little
 it dispatches -- are readable as such.  Runnable standalone
@@ -62,7 +62,8 @@ _MIN_WARM_SPEEDUP = 10.0
 #: Process-farm width for the farm discovery legs.
 _FARM_JOBS = max(2, min(8, (os.cpu_count() or 2) - 1))
 
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr10.json"
+_OUT = Path(__file__).resolve().parent.parent / "results" \
+    / "BENCH_pr10.json"
 
 
 def _discover(label, config, plan_cache=None):
@@ -181,6 +182,7 @@ def run_plan_bench(check: bool):
             "seconds": round(proof_s, 1),
         },
     }
+    _OUT.parent.mkdir(exist_ok=True)
     _OUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
@@ -198,7 +200,7 @@ def run_plan_bench(check: bool):
           f"reference source reached: {reached_reference}")
     print(f"implementation    {proof.total_vcs} VCs, "
           f"auto {auto:.1f}% (floor {_MIN_AUTO_PERCENT}%)")
-    print(f"results           {_OUT.name} (cpu_count "
+    print(f"results           results/{_OUT.name} (cpu_count "
           f"{payload['cpu_count']})")
 
     if check:

@@ -14,7 +14,7 @@ Legs:
   obligation is served from the tenant's warm ``ResultCache`` and every
   normal form from its ``NormalizationCache``.
 
-Results are written to ``BENCH_pr6.json`` at the repo root
+Results are written to ``results/BENCH_pr6.json`` (gitignored)
 (``bench-serve/v1``).  Runnable standalone
 (``python benchmarks/bench_serve.py [--check]``) or under pytest
 (``python -m pytest benchmarks/bench_serve.py -q -s``).  The
@@ -40,7 +40,8 @@ CHECK_MODE = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")
 #: (the acceptance floor; a pure cache replay measures far higher).
 _MIN_SPEEDUP = 2.0
 
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr6.json"
+_OUT = Path(__file__).resolve().parent.parent / "results" \
+    / "BENCH_pr6.json"
 
 
 def _verdict_keys(result_message):
@@ -140,6 +141,7 @@ def run_serve_bench(check: bool, state_dir=None):
         "legs_identical_to_reference": True,
         "replayed_requests": 1,
     }
+    _OUT.parent.mkdir(exist_ok=True)
     _OUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
@@ -151,7 +153,7 @@ def run_serve_bench(check: bool, state_dir=None):
           f"{warm_stats['cache_hits']} cache hits)")
     print("differential  cold == warm == interactive == replayed "
           "== serial batch reference")
-    print(f"results       {_OUT.name}")
+    print(f"results       results/{_OUT.name}")
 
     floor_ok = speedup >= _MIN_SPEEDUP
     if check:

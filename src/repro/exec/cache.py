@@ -152,18 +152,6 @@ class ResultCache:
             while len(memory) > self.max_memory_entries:
                 memory.popitem(last=False)
 
-    def set_memory_limit(self, max_memory_entries: Optional[int]) -> None:
-        """(Re)bound the in-memory layer, evicting the least recently
-        used entries immediately if already over the new cap."""
-        if max_memory_entries is not None and max_memory_entries < 1:
-            raise ValueError(f"max_memory_entries must be >= 1, got "
-                             f"{max_memory_entries!r}")
-        with self._lock:
-            self.max_memory_entries = max_memory_entries
-            if max_memory_entries is not None:
-                while len(self._memory) > max_memory_entries:
-                    self._memory.popitem(last=False)
-
     def put(self, key: str, value: Any,
             encode: Optional[Callable[[Any], Any]] = None) -> None:
         with self._lock:

@@ -68,10 +68,6 @@ class ExecConfig:
     ``cache``            a :class:`~repro.exec.cache.ResultCache`, None
                          for the process-wide default, or False to
                          disable caching outright.
-    ``cache_memory_entries``  LRU cap applied to the resolved cache's
-                         in-memory layer (None leaves the cache's own
-                         setting; long harness runs bound their footprint
-                         with this).
     ``telemetry``        a :class:`~repro.exec.telemetry.Telemetry`, or
                          None for the component's default (the verifier
                          allocates one per run; bare schedulers fall back
@@ -123,7 +119,6 @@ class ExecConfig:
     jobs: Optional[int] = 1
     backend: str = "process"
     cache: Any = None
-    cache_memory_entries: Optional[int] = None
     telemetry: Optional[Telemetry] = None
     timeout_seconds: Optional[float] = None
     retries: Union[int, RetryPolicy] = 0
@@ -148,10 +143,6 @@ class ExecConfig:
         if self.on_backend_failure not in ("raise", "degrade"):
             raise ValueError(f"on_backend_failure must be 'raise' or "
                              f"'degrade', got {self.on_backend_failure!r}")
-        if self.cache_memory_entries is not None \
-                and self.cache_memory_entries < 1:
-            raise ValueError(f"cache_memory_entries must be >= 1, got "
-                             f"{self.cache_memory_entries!r}")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError(f"timeout_seconds must be positive, got "
                              f"{self.timeout_seconds!r} (0 would disable "
@@ -217,10 +208,9 @@ class ExecConfig:
     #: absent: they are live objects owned by the executing side -- a
     #: remote client must never be able to name another tenant's cache.
     JSON_FIELDS = ("jobs", "backend", "timeout_seconds", "retries",
-                   "on_error", "on_backend_failure", "cache_memory_entries",
-                   "remote_workers", "remote_listen",
-                   "lease_timeout_seconds", "remote_shared_cache",
-                   "batch_size", "batch_bytes_cap")
+                   "on_error", "on_backend_failure", "remote_workers",
+                   "remote_listen", "lease_timeout_seconds",
+                   "remote_shared_cache", "batch_size", "batch_bytes_cap")
 
     def to_json(self) -> dict:
         """The JSON-portable fields of this config (see

@@ -272,22 +272,23 @@ class LemmaPayload(ObligationPayload):
 
 @dataclass(frozen=True)
 class BatchPayload:
-    """K small obligations bundled into one dispatch unit (DESIGN.md §18).
+    """The dispatch unit: K obligations, K >= 1 (DESIGN.md §18).
 
     A batch is *not* an obligation -- it is a transport envelope the
-    scheduler wraps around several already-admitted obligations so they
-    share one pickle/wire/lease round trip.  Each entry is
-    ``(index, payload, token, cache_key)``: the scheduler's obligation
-    index, the item's :class:`ObligationPayload`, the per-item alarm
-    token, and the item's cache key (``None`` when uncacheable; remote
-    workers use keys for their local served-result tier, the process
-    backend ignores them).  Because one batch's items typically share a
-    typed package, pickling the envelope serializes it once.
+    scheduler wraps around one or more already-admitted obligations so
+    they share one pickle/wire/lease round trip; a solo obligation is a
+    batch of one.  Each entry is ``(index, payload, token, cache_key)``:
+    the scheduler's obligation index, the item's
+    :class:`ObligationPayload`, the per-item alarm token, and the item's
+    cache key (``None`` when uncacheable; remote workers use keys for
+    their local and shared cache tiers, the process backend ignores
+    them).  Because one batch's items typically share a typed package,
+    pickling the envelope serializes it once.
 
     Per-item semantics are preserved: the worker runs each entry through
-    the same per-item timeout/retry machinery a solo dispatch uses and
-    returns one result tuple per entry, so timeouts, retries, and fault
-    blame stay attributable to individual obligations.
+    its own timeout/retry machinery and returns one result tuple per
+    entry, so timeouts, retries, and fault blame stay attributable to
+    individual obligations.
     """
 
     entries: Tuple[Tuple[int, Any, str, Optional[Any]], ...]

@@ -15,34 +15,35 @@ version (:func:`~repro.protocol.check_protocol_version` with
 ``required=True``): a version-skewed worker is rejected loudly with a
 ``protocol_mismatch`` error, never silently tolerated.
 
-**Leases.**  An obligation is *leased* to a worker: the lease record is
+**Leases.**  A dispatch unit -- a
+:class:`~repro.exec.payload.BatchPayload`, a solo obligation being a
+batch of one -- is *leased* to a worker: the lease record is
 registered before the lease message is sent (journal-before-send, the
 discipline :mod:`repro.serve.journal` uses for requests), the worker
 ``ack``\\ s receipt, and the terminal ``result`` message retires the
-lease.  A lease that outlives its deadline marks the whole connection
-suspect -- the coordinator closes it and blames every lease the worker
-held, exactly as if the host had died.  Since protocol version 3 a
-lease may carry a whole :class:`~repro.exec.payload.BatchPayload`
-(``lease_batch``/``result_batch``, DESIGN.md §18): one wire round trip,
-one worker slot, per-obligation bookkeeping -- the coordinator
-decomposes the batched results back into per-obligation events, and a
-dead connection blames every member of a batched lease.
+lease.  One wire message, one worker slot, per-obligation bookkeeping:
+the ``result`` carries one result tuple and one served tier per member,
+which the coordinator turns into per-obligation events.  A lease that
+outlives its deadline marks the whole connection suspect -- the
+coordinator closes it and blames every member of every lease the
+worker held, exactly as if the host had died.
 
 **Failure taxonomy.**  A dead connection (EOF, send failure, protocol
 violation, expired lease) is one event: ``("lost", name, indices,
 reason)`` -- the scheduler blames those obligations and re-runs them
-solo, per PR 4's crash machinery.  A worker that loses leases
+solo (DESIGN.md §12).  A worker that loses leases
 ``FLAP_STRIKES`` times is *quarantined by name*: its re-registrations
 are rejected (``("quarantined", name, reason)`` tells the scheduler to
 record telemetry).  An idle disconnect (no leases held) is not a
 strike -- reconnect churn on a quiet farm is not flapping.
 
-**Shared cache tier.**  A worker may ask ``cache_get`` before
-computing; the coordinator answers from the scheduler's
-content-addressed :class:`~repro.exec.cache.ResultCache` via the
-``cache_lookup`` callback (read-through).  The write-through half is
-the normal result path: the parent caches every verdict on receipt, so
-any worker's result is every later lease's warm hit.
+**Shared cache tier.**  Once per lease, a worker may ask ``cache_get``
+for every keyed member its local tier misses; the coordinator answers
+each key from the results this run already received, then from the
+scheduler's content-addressed :class:`~repro.exec.cache.ResultCache`
+via the ``cache_lookup`` callback (read-through).  The write-through
+half is the normal result path: the parent caches every verdict on
+receipt, so any worker's result is every later lease's warm hit.
 """
 
 from __future__ import annotations
@@ -70,25 +71,20 @@ class _Worker:
 
 
 class _Lease:
-    """One dispatch unit on one worker: a solo obligation
-    (``indices == (i,)``) or a :class:`~repro.exec.payload.BatchPayload`
-    bundle.  ``keys`` maps member index -> cache key (for the
+    """One dispatch unit on one worker: a
+    :class:`~repro.exec.payload.BatchPayload` (a solo obligation is a
+    batch of one).  ``keys`` maps member index -> cache key (for the
     write-through of delivered verdicts); a lost connection blames every
     member."""
 
     def __init__(self, lease_id: str, indices: tuple, worker: _Worker,
-                 deadline: Optional[float],
-                 keys: Optional[Dict[int, str]] = None):
+                 deadline: Optional[float], keys: Dict[int, str]):
         self.lease_id = lease_id
         self.indices = indices
         self.worker = worker
         self.deadline = deadline
-        self.keys = keys or {}
+        self.keys = keys
         self.acked = False
-
-    @property
-    def index(self) -> int:
-        return self.indices[0]
 
 
 class RemoteCoordinator:
@@ -207,63 +203,18 @@ class RemoteCoordinator:
         except queue.Empty:
             return None
 
-    def lease(self, index: int, payload, retry_policy,
-              timeout_seconds: Optional[float], token: str,
-              cache_key: Optional[str],
+    def lease(self, indices: Sequence[int], batch, retry_policy,
+              timeout_seconds: Optional[float],
               avoid: Sequence[str] = ()) -> Optional[str]:
-        """Lease one obligation to the least-loaded worker with an open
-        slot, preferring workers not in ``avoid`` (the solo re-run of a
-        blamed obligation avoids the host that lost it, when another is
-        alive).  Returns the worker's name, or ``None`` when no worker
-        has capacity."""
-        while True:
-            with self._lock:
-                open_slots = [w for w in self._workers.values()
-                              if len(w.lease_ids) < self._per_worker]
-                if not open_slots:
-                    return None
-                preferred = [w for w in open_slots
-                             if w.name not in avoid] or open_slots
-                worker = min(preferred, key=lambda w: len(w.lease_ids))
-                self._sequence += 1
-                lease_id = f"L{self._sequence}"
-                deadline = (time.monotonic() + self._lease_timeout
-                            if self._lease_timeout is not None else None)
-                keys = {index: cache_key} if cache_key is not None else None
-                lease = _Lease(lease_id, (index,), worker, deadline, keys)
-                self._leases[lease_id] = lease
-                worker.lease_ids.add(lease_id)
-            message = {
-                "op": "lease", "lease": lease_id, "index": index,
-                "blob": encode_blob((payload, retry_policy)),
-                "timeout": timeout_seconds, "token": token,
-                "key": cache_key,
-            }
-            try:
-                worker.link.send(message)
-                return worker.name
-            except OSError as exc:
-                # The connection died at send time: this lease never
-                # reached the worker, so retire it *before* dropping the
-                # worker -- the obligation is not blamed, only the
-                # worker's other (delivered) leases are.
-                with self._lock:
-                    self._leases.pop(lease_id, None)
-                    worker.lease_ids.discard(lease_id)
-                self._drop_worker(worker, f"send failed: {exc}")
-                # Another worker may have capacity; try again.
-
-    def lease_batch(self, indices: Sequence[int], batch, retry_policy,
-                    timeout_seconds: Optional[float],
-                    avoid: Sequence[str] = ()) -> Optional[str]:
-        """Lease one :class:`~repro.exec.payload.BatchPayload` as a
-        single dispatch unit occupying *one* slot on its worker (the
-        batch is one wire message and one ``ack``/``result_batch`` round
-        trip -- amortizing the per-obligation dispatch cost is its whole
-        point).  Member bookkeeping stays per-obligation: the lease
-        records every member index, so a dead connection blames each of
-        them and the scheduler re-runs them solo.  Returns the worker's
-        name, or ``None`` when no worker has capacity."""
+        """Lease one :class:`~repro.exec.payload.BatchPayload` (a solo
+        obligation is a batch of one) to the least-loaded worker with an
+        open slot, preferring workers not in ``avoid`` (the solo re-run
+        of a blamed obligation avoids the host that lost it, when another
+        is alive).  The batch is one wire message, one worker slot and
+        one ``ack``/``result`` round trip; member bookkeeping stays
+        per-obligation, so a dead connection blames each member and the
+        scheduler re-runs them solo.  Returns the worker's name, or
+        ``None`` when no worker has capacity."""
         indices = tuple(indices)
         keys = {index: key for index, _, _, key in batch.entries
                 if key is not None}
@@ -278,7 +229,7 @@ class RemoteCoordinator:
                 worker = min(preferred, key=lambda w: len(w.lease_ids))
                 self._sequence += 1
                 lease_id = f"L{self._sequence}"
-                # A batch's deadline scales with its size: K obligations
+                # The deadline scales with the batch: K obligations
                 # legitimately take K times one obligation's budget.
                 deadline = (time.monotonic()
                             + self._lease_timeout * len(indices)
@@ -287,8 +238,7 @@ class RemoteCoordinator:
                 self._leases[lease_id] = lease
                 worker.lease_ids.add(lease_id)
             message = {
-                "op": "lease_batch", "lease": lease_id,
-                "indices": list(indices),
+                "op": "lease", "lease": lease_id, "indices": list(indices),
                 "blob": encode_blob((batch, retry_policy)),
                 "timeout": timeout_seconds,
             }
@@ -296,13 +246,15 @@ class RemoteCoordinator:
                 worker.link.send(message)
                 return worker.name
             except OSError as exc:
-                # Same discipline as ``lease``: a send-time death means
-                # the batch never reached the worker -- retire it before
-                # dropping the worker so no member is blamed.
+                # The connection died at send time: this lease never
+                # reached the worker, so retire it *before* dropping the
+                # worker -- its members are not blamed, only the
+                # worker's other (delivered) leases are.
                 with self._lock:
                     self._leases.pop(lease_id, None)
                     worker.lease_ids.discard(lease_id)
                 self._drop_worker(worker, f"send failed: {exc}")
+                # Another worker may have capacity; try again.
 
     # -- connection service -------------------------------------------------
 
@@ -417,36 +369,16 @@ class RemoteCoordinator:
                 if lease is not None:
                     lease.worker.lease_ids.discard(lease.lease_id)
             if lease is None:
-                return   # stale: lease expired/blamed before the result
-            try:
-                result = decode_blob(message["blob"])
-            except Exception as exc:   # noqa: BLE001 - wire-data boundary
-                result = (lease.index, "errored",
-                          f"undecodable result blob from "
-                          f"{worker.name}: {exc}", 0.0, 1, (), None)
-            key = lease.keys.get(lease.index)
-            if key is not None and len(result) > 2 and result[1] == "ok":
-                with self._lock:
-                    self._result_wire[key] = result[2]
-            self.events.put(("result", lease.index, result, worker.name,
-                             message.get("served", "computed")))
-        elif message.get("reply") == "result_batch":
-            with self._lock:
-                lease = self._leases.pop(message.get("lease"), None)
-                if lease is not None:
-                    lease.worker.lease_ids.discard(lease.lease_id)
-            if lease is None:
                 return   # stale: lease expired/blamed before the results
-            # Decompose the batch into the per-obligation ("result", ...)
-            # events the scheduler already understands -- batching is
-            # invisible above the coordinator except for its telemetry.
+            # One ("result", ...) event per member: batching is invisible
+            # above the coordinator except for its telemetry.
             try:
                 results = tuple(decode_blob(message["blob"]))
             except Exception as exc:   # noqa: BLE001 - wire-data boundary
                 results = tuple(
                     (index, "errored",
-                     f"undecodable batch result blob from "
-                     f"{worker.name}: {exc}", 0.0, 1, (), None)
+                     f"undecodable result blob from {worker.name}: {exc}",
+                     0.0, 1, (), None)
                     for index in lease.indices)
             served = message.get("served")
             if not isinstance(served, list) or len(served) != len(results):
@@ -461,21 +393,23 @@ class RemoteCoordinator:
                 self.events.put(("result", index, result, worker.name,
                                  tier))
         elif message.get("op") == "cache_get":
-            wire = None
-            key = message.get("key")
-            if isinstance(key, str):
-                with self._lock:
-                    wire = self._result_wire.get(key)
-            if wire is None and self._cache_lookup is not None \
-                    and isinstance(key, str):
-                wire = self._cache_lookup(key)
-            reply = {"reply": "cache_value",
-                     "lease": message.get("lease"), "hit": wire is not None,
-                     "wire": encode_blob(wire) if wire is not None
-                     else None}
-            worker.link.send(reply)
+            keys = message.get("keys")
+            wires = [self._tier_value(key) if isinstance(key, str) else None
+                     for key in (keys if isinstance(keys, list) else ())]
+            worker.link.send({
+                "reply": "cache_value", "lease": message.get("lease"),
+                "wires": [None if wire is None else encode_blob(wire)
+                          for wire in wires]})
         # Unknown messages are ignored: forward compatibility within a
         # protocol generation.
+
+    def _tier_value(self, key: str) -> object:
+        """The shared tier's wire-form result for ``key``, or None."""
+        with self._lock:
+            wire = self._result_wire.get(key)
+        if wire is None and self._cache_lookup is not None:
+            wire = self._cache_lookup(key)
+        return wire
 
     # -- failure paths ------------------------------------------------------
 

@@ -17,23 +17,21 @@ runs.  ``--connect`` exits when the connection ends (a supervisor or
 test respawns it); a rejected handshake (version mismatch, quarantined
 name) exits with status :data:`REJECTED_EXIT`.
 
-Per lease, the worker answers from three tiers, cheapest first:
+A lease carries a :class:`~repro.exec.payload.BatchPayload` (a solo
+obligation is a batch of one).  The worker answers each member from
+three tiers, cheapest first:
 
 1. **local** -- its own in-process cache of wire-form results, warm
    across connections (and across runs, in ``--listen`` mode), bounded
    to the :data:`LOCAL_CACHE_ENTRIES` most recently used;
-2. **tier** -- a ``cache_get`` read-through to the coordinator's
-   content-addressed cache (when the coordinator enabled the shared
-   tier), so any other worker's verdict is this worker's warm hit;
+2. **tier** -- the coordinator's content-addressed cache (when the
+   coordinator enabled the shared tier), read through with **one**
+   ``cache_get`` per lease for every keyed member the local tier
+   misses, so any other worker's verdict is this worker's warm hit;
 3. **computed** -- :func:`_process_worker` on the shipped payload.
 
-The served tier travels back on the ``result`` message, so telemetry
-can attribute farm-level cache behaviour.
-
-Batched leases (protocol version 3 on): a ``lease_batch`` ships many
-small obligations in one message; the worker answers each member from
-its local tier or computes it, and replies with one ``result_batch``.  See :func:`_handle_lease_batch`
-for why the coordinator ``cache_get`` tier is skipped inside a batch.
+One ``result`` message carries every member's result tuple and served
+tier, so telemetry can attribute farm-level cache behaviour.
 """
 
 from __future__ import annotations
@@ -90,57 +88,47 @@ def _local_cache() -> ResultCache:
     return ResultCache(max_memory_entries=LOCAL_CACHE_ENTRIES)
 
 
+def _tier_values(link: Link, lease_id: str, keys: list,
+                 pending: deque) -> dict:
+    """One ``cache_get`` round trip for ``keys``: the shared tier's
+    wire-form results, by key, for the keys it holds."""
+    link.send({"op": "cache_get", "lease": lease_id, "keys": keys})
+    reply = _await_cache_value(link, pending, lease_id)
+    wires = reply.get("wires") if reply is not None else None
+    if not isinstance(wires, list) or len(wires) != len(keys):
+        return {}
+    return {key: decode_blob(wire)
+            for key, wire in zip(keys, wires) if wire is not None}
+
+
 def _handle_lease(link: Link, message: dict, shared_cache: bool,
                   local_cache: ResultCache, pending: deque) -> None:
-    lease_id = message.get("lease")
-    index = message.get("index")
-    key = message.get("key")
-    link.send({"reply": "ack", "lease": lease_id})
-    result = None
-    served = "computed"
-    hit, wire = (False, None) if key is None else local_cache.get(key)
-    if hit:
-        result = (index, "ok", wire, 0.0, 1, (), None)
-        served = "local"
-    elif key is not None and shared_cache:
-        link.send({"op": "cache_get", "lease": lease_id, "key": key})
-        value = _await_cache_value(link, pending, lease_id)
-        if value is not None and value.get("hit"):
-            wire = decode_blob(value["wire"])
-            local_cache.put(key, wire)
-            result = (index, "ok", wire, 0.0, 1, (), None)
-            served = "tier"
-    if result is None:
-        payload, retry_policy = decode_blob(message["blob"])
-        result = _process_worker(index, payload, retry_policy,
-                                 message.get("timeout"),
-                                 message.get("token", ""))
-        if key is not None and result[1] == "ok":
-            local_cache.put(key, result[2])
-    link.send({"reply": "result", "lease": lease_id, "index": index,
-               "served": served, "blob": encode_blob(result)})
-
-
-def _handle_lease_batch(link: Link, message: dict,
-                        local_cache: ResultCache) -> None:
-    """Execute one :class:`~repro.exec.payload.BatchPayload` lease: run
-    every member through the same per-item machinery as a solo lease.
-    The coordinator ``cache_get`` tier is deliberately *not*
-    consulted per member -- a per-item read-through round trip would
-    reintroduce exactly the per-obligation wire latency batching exists
-    to amortize; the worker's own local cache (warm across leases) still
-    answers repeats, and the coordinator's write-through keeps the shared
-    tier warm for later solo leases."""
+    """Serve one lease: a :class:`~repro.exec.payload.BatchPayload` (a
+    solo obligation is a batch of one).  Each member is answered by the
+    local tier, else by the shared tier -- asked once per lease, for
+    every keyed member the local tier misses -- else computed by
+    :func:`_process_worker`.  One ``result`` carries a result tuple and
+    a served tier per member."""
     lease_id = message.get("lease")
     link.send({"reply": "ack", "lease": lease_id})
     batch, retry_policy = decode_blob(message["blob"])
+    tier = {}
+    if shared_cache:
+        keys = dict.fromkeys(key for _, _, _, key in batch.entries
+                             if key is not None)
+        missing = [key for key in keys if not local_cache.get(key)[0]]
+        if missing:
+            tier = _tier_values(link, lease_id, missing, pending)
     results = []
     served = []
     for index, payload, token, key in batch.entries:
         hit, wire = (False, None) if key is None else local_cache.get(key)
-        if hit:
+        if hit or key in tier:
+            if not hit:
+                wire = tier[key]
+                local_cache.put(key, wire)
             results.append((index, "ok", wire, 0.0, 1, (), None))
-            served.append("local")
+            served.append("local" if hit else "tier")
             continue
         result = _process_worker(index, payload, retry_policy,
                                  message.get("timeout"), token)
@@ -148,8 +136,8 @@ def _handle_lease_batch(link: Link, message: dict,
             local_cache.put(key, result[2])
         results.append(result)
         served.append("computed")
-    link.send({"reply": "result_batch", "lease": lease_id,
-               "served": served, "blob": encode_blob(tuple(results))})
+    link.send({"reply": "result", "lease": lease_id, "served": served,
+               "blob": encode_blob(tuple(results))})
 
 
 def _serve_connection(sock: socket.socket, name: str,
@@ -182,8 +170,6 @@ def _serve_connection(sock: socket.socket, name: str,
             if message.get("op") == "lease":
                 _handle_lease(link, message, shared_cache, local_cache,
                               pending)
-            elif message.get("op") == "lease_batch":
-                _handle_lease_batch(link, message, local_cache)
             # Anything else: ignore (forward compatibility).
     except ProtocolError as exc:
         if exc.code == "protocol_mismatch":

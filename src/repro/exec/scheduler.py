@@ -18,9 +18,9 @@ regardless of completion order.  Three execution backends:
 
 Both parallel backends run one dispatcher
 (:meth:`ObligationScheduler._dispatch`) over a narrow transport that
-ships a dispatch unit (one obligation or a ``BatchPayload``), polls for
-completions, and reports lost units with their blame scope: the whole
-pool (:class:`_ProcessTransport`) or one connection
+ships a dispatch unit (a ``BatchPayload``; a solo obligation is a batch
+of one), polls for completions, and reports lost units with their blame
+scope: the whole pool (:class:`_ProcessTransport`) or one connection
 (:class:`_RemoteTransport`).  Group chaining (same-``group`` obligations
 run serially, in order), cache-before-dispatch, batch-unit formation,
 result decoding, ``stop_on``/``on_error`` and blame are written once, in
@@ -180,10 +180,10 @@ def _process_worker(index: int, payload, retry_policy: RetryPolicy,
 
 def _batch_worker(batch, retry_policy: RetryPolicy,
                   timeout_seconds: Optional[float]) -> tuple:
-    """Execute one :class:`~repro.exec.payload.BatchPayload` in a worker:
-    each entry runs through :func:`_process_worker` (own alarm, retries
-    and jitter per entry, as in solo dispatch).  One result tuple per
-    entry."""
+    """Execute one :class:`~repro.exec.payload.BatchPayload`, the only
+    dispatch unit, in a worker: each entry runs through
+    :func:`_process_worker` (own alarm, retries and jitter per entry).
+    One result tuple per entry."""
     return tuple(
         _process_worker(index, payload, retry_policy, timeout_seconds,
                         token)
@@ -281,17 +281,11 @@ class _ProcessTransport:
     def ship(self, members: tuple, avoid) -> bool:
         if self.broken is not None:
             return False
-        sched, obs = self.sched, self.obligations
+        sched = self.sched
         try:
-            if len(members) == 1:
-                ob = obs[members[0]]
-                future = self.pool.submit(
-                    _process_worker, members[0], ob.payload,
-                    sched.retry_policy, sched.timeout_seconds, ob.label)
-            else:
-                future = self.pool.submit(
-                    _batch_worker, _batch_of(obs, members),
-                    sched.retry_policy, sched.timeout_seconds)
+            future = self.pool.submit(
+                _batch_worker, _batch_of(self.obligations, members),
+                sched.retry_policy, sched.timeout_seconds)
         except BrokenExecutor as exc:
             self.broken = exc   # never ran: requeued unblamed
             return False
@@ -334,7 +328,7 @@ class _ProcessTransport:
                 continue
             del self.futures[future]
             self.barren = 0
-            for result in (raw if len(members) > 1 else (raw,)):
+            for result in raw:
                 events.append(("result", result[0], result, None, None))
         if broken is not None:
             events.extend(self._recover(broken))
@@ -436,17 +430,11 @@ class _RemoteTransport:
             raise BackendUnusableError("remote", f"{why} within {grace}s")
 
     def ship(self, members: tuple, avoid) -> bool:
-        sched, obs = self.sched, self.obligations
-        if len(members) == 1:
-            ob = obs[members[0]]
-            name = self.coordinator.lease(
-                members[0], ob.payload, sched.retry_policy,
-                sched.timeout_seconds, ob.label, ob.cache_key, avoid=avoid)
-        else:
-            name = self.coordinator.lease_batch(
-                members, _batch_of(obs, members), sched.retry_policy,
-                sched.timeout_seconds, avoid=avoid)
-        return name is not None
+        sched = self.sched
+        return self.coordinator.lease(
+            members, _batch_of(self.obligations, members),
+            sched.retry_policy, sched.timeout_seconds,
+            avoid=avoid) is not None
 
     def poll(self, idle: bool) -> list:
         if idle and self.coordinator.live_workers() == 0:
@@ -500,8 +488,6 @@ class ObligationScheduler:
         #: disables caching outright.
         self.cache = default_cache() if config.cache is None \
             else None if config.cache is False else config.cache
-        if self.cache is not None and config.cache_memory_entries is not None:
-            self.cache.set_memory_limit(config.cache_memory_entries)
         self.telemetry = config.telemetry if config.telemetry is not None \
             else default_telemetry()
         self.timeout_seconds = config.timeout_seconds

@@ -35,14 +35,16 @@ __all__ = [
 #: The wire-protocol generation.  Version 1 was the PR-6 serve protocol
 #: (no version field on the wire); version 2 added the explicit
 #: ``protocol`` field and the remote-worker handshake that requires it;
-#: version 3 adds the batched lease generation (``lease_batch`` /
-#: ``result_batch``, DESIGN.md §18); version 4 changes the pickled
+#: version 3 added the batched lease generation (``lease_batch`` /
+#: ``result_batch``, DESIGN.md §18); version 4 changed the pickled
 #: payload shapes inside lease blobs (typed packages instead of bare
-#: ASTs, no warm normal forms).  An older worker cannot decode the
-#: current leases, so the handshake must reject it -- bumping here is
-#: what turns that skew into a loud ``protocol_mismatch`` instead of a
-#: lease that fails mid-run.
-PROTOCOL_VERSION = 4
+#: ASTs, no warm normal forms); version 5 makes every lease a batch:
+#: one ``lease``/``result`` pair carrying ``indices`` and a per-member
+#: ``served`` list, and one ``cache_get`` per lease carrying ``keys``.
+#: An older worker cannot decode the current leases, so the handshake
+#: must reject it -- bumping here is what turns that skew into a loud
+#: ``protocol_mismatch`` instead of a lease that fails mid-run.
+PROTOCOL_VERSION = 5
 
 #: The machine-readable ``code`` vocabulary of ``error`` replies, shared
 #: by the serve daemon and the farm coordinator.  ``protocol_mismatch``

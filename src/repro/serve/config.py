@@ -68,8 +68,8 @@ class ServeConfig:
     ``default_exec``    the :class:`~repro.exec.ExecConfig` applied to
                         requests that do not carry one.
     ``telemetry_out``   where request/lane metrics are dumped (atomic
-                        JSON, same schema as the harness's
-                        ``results/telemetry.json``); None disables.
+                        JSON: the request telemetry's ``stats`` and a
+                        ``context`` block, no event log); None disables.
     ``cache_memory_entries`` / ``norm_cache_entries``
                         per-tenant cache bounds (None: library defaults).
     """

@@ -20,9 +20,10 @@
   (:mod:`repro.serve.tenants`) are handed to every execution, so repeat
   requests hit warm and tenants stay isolated;
 * metrics -- request lifecycle events land in a service-level telemetry
-  whose dump (``results/telemetry.json`` schema, written atomically)
-  gains a ``serve`` context block: per-lane depth/served/latency
-  percentiles and per-tenant cache statistics.
+  whose dump (written atomically) holds its ``stats`` and a ``serve``
+  context block: per-lane depth/served/latency percentiles and
+  per-tenant cache statistics.  The event log itself is not dumped, so
+  the dump stays the same size however long the daemon runs.
 
 Blocking-IO stance: journal appends (fsync) and result publication are
 small files written from the event loop -- microseconds-to-milliseconds
@@ -38,6 +39,7 @@ import time
 from typing import Dict, List, Optional
 
 from ..exec import events as ev
+from ..exec.atomicio import atomic_write_json
 from ..exec.config import ExecConfig
 from ..exec.telemetry import Telemetry, percentile
 from .config import ServeConfig
@@ -377,16 +379,12 @@ class VerificationService:
         return await future
 
     def status(self) -> dict:
-        lanes = self.board.snapshot()
-        for lane, samples in self._latencies.items():
-            lanes[lane]["latency_p50_seconds"] = percentile(samples, 0.50)
-            lanes[lane]["latency_p95_seconds"] = percentile(samples, 0.95)
         return {
             "reply": "status",
             "protocol": PROTOCOL_VERSION,
             "durable": self.journal.durable,
             "replayed": self._replayed,
-            "lanes": lanes,
+            "lanes": self._lane_metrics(),
             "pending": self.board.pending_ids(),
             "namespaces": len(self.tenants),
             "tenants": self.tenants.snapshot(),
@@ -483,25 +481,34 @@ class VerificationService:
 
     # -- metrics -------------------------------------------------------------
 
-    def _dump_telemetry(self) -> None:
-        """Atomically publish the service telemetry (the harness's
-        ``results/telemetry.json`` schema plus a ``serve`` context block)
-        after every terminal request and at shutdown."""
-        out = self.config.telemetry_out
-        if out is None:
-            return
+    def _lane_metrics(self) -> dict:
+        """The lane board's snapshot plus each lane's p50/p95 request
+        latency."""
         lanes = self.board.snapshot()
         for lane, samples in self._latencies.items():
             lanes[lane]["latency_p50_seconds"] = percentile(samples, 0.50)
             lanes[lane]["latency_p95_seconds"] = percentile(samples, 0.95)
-        self.telemetry.dump_json(out, context={
-            "serve": {
-                "durable": self.journal.durable,
-                "replayed": self._replayed,
-                "max_queue": self.config.max_queue,
-                "lanes": lanes,
-                "namespaces": len(self.tenants),
-                "tenants": self.tenants.snapshot(),
+        return lanes
+
+    def _dump_telemetry(self) -> None:
+        """Atomically publish the service metrics after every terminal
+        request and at shutdown: the request telemetry's ``stats`` and a
+        ``context`` block.  The request event log is not written, so the
+        dump's size does not grow with the daemon's history."""
+        out = self.config.telemetry_out
+        if out is None:
+            return
+        atomic_write_json(out, {
+            "stats": self.telemetry.stats().to_json(),
+            "context": {
+                "serve": {
+                    "durable": self.journal.durable,
+                    "replayed": self._replayed,
+                    "max_queue": self.config.max_queue,
+                    "lanes": self._lane_metrics(),
+                    "namespaces": len(self.tenants),
+                    "tenants": self.tenants.snapshot(),
+                },
+                "default_exec": self.config.default_exec.to_json(),
             },
-            "default_exec": self.config.default_exec.to_json(),
         })

@@ -222,16 +222,6 @@ class TestMemoryLRU:
         assert not cache.get("b")[0]
         assert len(cache) == 2
 
-    def test_set_memory_limit_evicts_immediately(self):
-        cache = ResultCache()                   # unbounded
-        for i in range(10):
-            cache.put(f"k{i}", i)
-        cache.set_memory_limit(4)
-        assert len(cache) == 4
-        # the four *most recently used* keys survive
-        assert all(cache.get(f"k{i}")[0] for i in (6, 7, 8, 9))
-        assert not cache.get("k0")[0]
-
     def test_memory_eviction_keeps_disk_entry(self, tmp_path):
         """A memory-evicted key written through to disk is still a hit
         (slower), and the hit repopulates the memory layer as MRU."""
@@ -246,34 +236,18 @@ class TestMemoryLRU:
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(max_memory_entries=0)
-        with pytest.raises(ValueError):
-            ResultCache().set_memory_limit(0)
-        with pytest.raises(ValueError):
-            ExecConfig(cache_memory_entries=0)
-
-    def test_exec_config_applies_cap_to_scheduler_cache(self):
-        cache = ResultCache()
-        for i in range(8):
-            cache.put(f"k{i}", i)
-        config = ExecConfig(jobs=1, cache=cache, cache_memory_entries=5)
-        scheduler = config.scheduler()
-        assert scheduler.cache is cache
-        assert cache.max_memory_entries == 5
-        assert len(cache) == 5
 
     def test_bounded_cache_on_real_proof_run(self):
         """End to end: a tightly bounded cache still yields a correct
         (if partially cold) second run."""
-        cache = ResultCache()
+        cache = ResultCache(max_memory_entries=2)
         t1, t2 = Telemetry(), Telemetry()
         r1 = ImplementationProof(
             small_package(),
-            exec=ExecConfig(cache=cache, telemetry=t1,
-                            cache_memory_entries=2)).run()
+            exec=ExecConfig(cache=cache, telemetry=t1)).run()
         r2 = ImplementationProof(
             small_package(),
-            exec=ExecConfig(cache=cache, telemetry=t2,
-                            cache_memory_entries=2)).run()
+            exec=ExecConfig(cache=cache, telemetry=t2)).run()
         assert len(cache) <= 2
         # outcomes identical whether each obligation hit or recomputed
         assert [(o.vc.name, o.stage) for o in r1.outcomes] == \

@@ -151,7 +151,7 @@ class TestJsonWireForm:
             jobs=6, backend="remote", timeout_seconds=4.5,
             retries=RetryPolicy(retries=2, base_delay=0.01),
             on_error="record", on_backend_failure="degrade",
-            cache_memory_entries=128,
+            batch_size=128,
             remote_workers=("farm1:9000", "farm2:9000"),
             lease_timeout_seconds=20.0, remote_shared_cache=False)
         data = config.to_json()

@@ -16,7 +16,7 @@ import repro.exec.payload as payload_mod
 import repro.lang.typecheck as typecheck
 from repro.equiv.symbolic import SymbolicExecutor
 from repro.exec import (
-    CallPayload, EquivTrialPayload, ExecConfig, LemmaPayload,
+    BatchPayload, CallPayload, EquivTrialPayload, ExecConfig, LemmaPayload,
     ObligationPayload, ObligationScheduler, Telemetry, TheoryPair, VCPayload,
     package_fingerprint,
 )
@@ -249,13 +249,13 @@ class _Link:
 
 
 def _lease(link, local_cache, i):
+    batch = BatchPayload(((i, CallPayload(_square, (i,)), f"t{i}", f"k{i}"),))
     worker._handle_lease(link, {
-        "op": "lease", "lease": f"l{i}", "index": i, "key": f"k{i}",
-        "token": f"t{i}", "timeout": None,
-        "blob": encode_blob((CallPayload(_square, (i,)), RetryPolicy()))},
+        "op": "lease", "lease": f"l{i}", "indices": [i], "timeout": None,
+        "blob": encode_blob((batch, RetryPolicy()))},
         False, local_cache, deque())
     reply = link.sent[-1]
-    return reply["served"], decode_blob(reply["blob"])[:3]
+    return reply["served"][0], decode_blob(reply["blob"])[0][:3]
 
 
 class TestWorkerLocalCache:

@@ -14,8 +14,8 @@ import time
 import pytest
 
 from repro.exec import (
-    CallPayload, ExecConfig, Obligation, ObligationScheduler, ResultCache,
-    RetryPolicy, Telemetry, make_key,
+    BatchPayload, CallPayload, ExecConfig, Obligation, ObligationScheduler,
+    ResultCache, RetryPolicy, Telemetry, make_key,
 )
 from repro.exec.remote import (
     REJECTED_EXIT, Link, RemoteCoordinator, spawn_worker,
@@ -121,6 +121,23 @@ def _details(telemetry, event):
     return [e.detail for e in telemetry.events() if e.event == event]
 
 
+def _lease(coordinator, entries, avoid=()):
+    """Lease ``(index, payload, token, key)`` entries as one unit."""
+    return coordinator.lease([entry[0] for entry in entries],
+                             BatchPayload(tuple(entries)), RetryPolicy(),
+                             None, avoid=avoid)
+
+
+def _collect(coordinator, results, indices, deadline):
+    """Poll ``("result", index, ...)`` events into ``results`` until
+    every index in ``indices`` has one."""
+    while not indices <= results.keys():
+        event = coordinator.poll(timeout=0.25)
+        assert time.monotonic() < deadline
+        if event and event[0] == "result":
+            results[event[1]] = event
+
+
 class TestRemoteScheduling:
     def test_results_in_input_order_off_host(self):
         with farm(2) as addresses:
@@ -210,13 +227,15 @@ class TestRemoteScheduling:
 
 
 class TestSharedCacheTier:
-    def test_concurrent_duplicate_key_served_from_tier(self, tmp_path):
-        """Two in-flight obligations share a cache key on different
-        workers: the second worker's ``cache_get`` read-through hits the
-        coordinator's result memo (populated by the first worker's
-        verdict) -- its payload, which would raise, never runs."""
-        with farm(2, prefix="t") as addresses:
-            key = make_key("farm-tier", "k")
+    KEY = make_key("farm-tier", "k")
+
+    def _race(self, tmp_path, prefix, duplicate):
+        """Lease ``KEY``'s computation to worker 1 while worker 0 holds a
+        blocker; then lease the ``duplicate`` unit to worker 0, behind
+        the blocker, and release it once worker 1's verdict is in.
+        Returns every member's ``("result", ...)`` event by index."""
+        first, second = f"{prefix}0", f"{prefix}1"
+        with farm(2, prefix=prefix) as addresses:
             coordinator = RemoteCoordinator(
                 dial=addresses, cache_lookup=lambda _key: None,
                 per_worker=2)
@@ -224,38 +243,54 @@ class TestSharedCacheTier:
             try:
                 assert coordinator.wait_for_workers(2, 10.0)
                 blocker_release = str(tmp_path / "release")
-                policy = RetryPolicy()
-                # t0 is blocked behind a release file; the duplicate-key
-                # obligation queues behind it on the same worker.
-                assert coordinator.lease(
-                    0, CallPayload(_wait_for, (blocker_release, 0)),
-                    policy, None, "blocker", None, avoid=("t1",)) == "t0"
-                assert coordinator.lease(
-                    1, CallPayload(_square, (11,)), policy, None,
-                    "compute", key, avoid=("t0",)) == "t1"
-                assert coordinator.lease(
-                    2, CallPayload(_boom, (2,)), policy, None,
-                    "duplicate", key, avoid=("t1",)) == "t0"
+                # worker 0 is blocked behind a release file; the
+                # duplicate-key unit queues behind it on the same worker.
+                assert _lease(coordinator, [
+                    (0, CallPayload(_wait_for, (blocker_release, 0)),
+                     "blocker", None)], avoid=(second,)) == first
+                assert _lease(coordinator, [
+                    (1, CallPayload(_square, (11,)), "compute", self.KEY)],
+                    avoid=(first,)) == second
+                assert _lease(coordinator, duplicate,
+                              avoid=(second,)) == first
                 results = {}
                 deadline = time.monotonic() + 20.0
-                while 1 not in results:
-                    event = coordinator.poll(timeout=0.25)
-                    assert time.monotonic() < deadline
-                    if event and event[0] == "result":
-                        results[event[1]] = event
+                _collect(coordinator, results, {1}, deadline)
                 with open(blocker_release, "w"):
                     pass
-                while 0 not in results or 2 not in results:
-                    event = coordinator.poll(timeout=0.25)
-                    assert time.monotonic() < deadline
-                    if event and event[0] == "result":
-                        results[event[1]] = event
-                assert results[1][2][1] == "ok"
-                assert results[2][2][1] == "ok"
-                assert results[2][4] == "tier"          # served tier
-                assert results[2][2][2] == results[1][2][2]   # same wire
+                _collect(coordinator, results,
+                         {0} | {entry[0] for entry in duplicate}, deadline)
+                return results
             finally:
                 coordinator.stop()
+
+    def test_concurrent_duplicate_key_served_from_tier(self, tmp_path):
+        """Two in-flight obligations share a cache key on different
+        workers: the second worker's ``cache_get`` read-through hits the
+        coordinator's result memo (populated by the first worker's
+        verdict) -- its payload, which would raise, never runs."""
+        results = self._race(tmp_path, "t", [
+            (2, CallPayload(_boom, (2,)), "duplicate", self.KEY)])
+        assert results[1][2][1] == "ok"
+        assert results[2][2][1] == "ok"
+        assert results[2][4] == "tier"          # served tier
+        assert results[2][2][2] == results[1][2][2]   # same wire
+
+    def test_duplicate_key_inside_a_batch_served_from_tier(self, tmp_path):
+        """The tier rule is the same for every lease: a member of a
+        multi-member lease whose key another worker already computed is
+        answered by the lease's one ``cache_get`` -- its raising payload
+        never runs -- while its batch-mates compute."""
+        results = self._race(tmp_path, "b", [
+            (2, CallPayload(_square, (2,)), "before", None),
+            (3, CallPayload(_boom, (3,)), "duplicate", self.KEY),
+            (4, CallPayload(_square, (4,)), "after",
+             make_key("farm-tier", "other"))])
+        assert results[3][2][1] == "ok"
+        assert results[3][4] == "tier"
+        assert results[3][2][2] == results[1][2][2]
+        assert [results[i][4] for i in (2, 4)] == ["computed", "computed"]
+        assert [results[i][2][2] for i in (2, 4)] == [4, 16]
 
 
 class TestRemoteHandshake:
@@ -343,15 +378,16 @@ class TestRemoteHandshake:
                 proc.wait()
 
     def test_previous_protocol_version_rejected(self):
-        """Protocol 3 added the batched lease generation and protocol 4
-        changed the pickled payload shapes inside lease blobs; an older
-        hello therefore cannot be grandfathered in -- the worker would
-        fail on leases it cannot decode."""
-        assert PROTOCOL_VERSION >= 4
+        """Protocol 3 added the batched lease generation, protocol 4
+        changed the pickled payload shapes inside lease blobs and
+        protocol 5 made every lease a batch; an older hello therefore
+        cannot be grandfathered in -- the worker would fail on leases it
+        cannot decode."""
+        assert PROTOCOL_VERSION >= 5
         coordinator = RemoteCoordinator(listen="127.0.0.1:0")
         coordinator.start()
         try:
-            for version in (2, 3):
+            for version in (2, 3, 4):
                 link = self._dial(coordinator)
                 link.send({"op": "hello", "protocol": version,
                            "name": "relic", "pid": 1})
@@ -364,8 +400,8 @@ class TestRemoteHandshake:
 
     def test_old_version_worker_process_exits_cleanly(self):
         """End to end: a worker binary from before the batching protocol
-        (version 2) or before the current payload shapes (version 3),
-        simulated by pinning ``PROTOCOL_VERSION`` before the worker
+        (version 2), before the current payload shapes (version 3) or
+        before every lease became a batch (version 4), simulated by pinning ``PROTOCOL_VERSION`` before the worker
         module binds it, dials a current coordinator and exits
         ``REJECTED_EXIT`` -- a clean, diagnosable rejection rather than
         a hang or a garbled lease."""
@@ -380,7 +416,7 @@ class TestRemoteHandshake:
                            if env.get("PYTHONPATH") else []))
         proc = None
         try:
-            for version in (2, 3):
+            for version in (2, 3, 4):
                 script = (
                     "import sys, repro.protocol as protocol\n"
                     f"protocol.PROTOCOL_VERSION = {version}\n"

@@ -4,6 +4,7 @@ replay (in-process and after a real ``kill -9``), and the differential
 gate pinning daemon verdicts to the serial batch reference."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -83,7 +84,6 @@ def fresh_process_reference_keys(source=SRC):
     """
     if source in _FRESH_REFERENCE:
         return _FRESH_REFERENCE[source]
-    import json
     import os
     import subprocess
     import sys
@@ -314,6 +314,60 @@ class TestTenantIsolation:
         bob_files = {p.name for p in (cache_root / "bob").iterdir()}
         # same package, same keys -- but materialized in separate trees
         assert alice_files and alice_files == bob_files
+
+    def test_request_cannot_resize_the_tenant_cache(self):
+        """The tenant cache is bounded where it is built
+        (``ServeConfig.cache_memory_entries``): a request's ``exec`` may
+        not carry a cache bound, so no client can shrink its namespace's
+        cache for every later request."""
+        config = ServeConfig(cache_memory_entries=64)
+
+        async def body(service):
+            first = await service.submit(submit_msg())
+            await service.wait(first["id"])
+            alice = service.tenants.get("alice")
+            held = len(alice.result_cache)
+            with pytest.raises(ProtocolError) as err:
+                await service.submit(submit_msg(
+                    exec={"cache_memory_entries": 1}))
+            assert err.value.code == "bad_request"
+            assert "bad exec config" in err.value.detail
+            assert alice.result_cache.max_memory_entries == 64
+            assert len(alice.result_cache) == held
+            again = await service.submit(submit_msg())
+            result = await service.wait(again["id"])
+            assert result["exec_stats"]["cache_misses"] == 0
+
+        asyncio.run(run_service(config, body))
+
+
+class TestMetricsDump:
+    def test_dump_size_does_not_grow_with_requests(self, tmp_path):
+        """The dump holds the request telemetry's stats and context, not
+        its event log: after 8 requests it is no larger than after 2,
+        give or take the digits of its counters and timings."""
+        out = tmp_path / "telemetry.json"
+
+        async def body(service):
+            sizes = {}
+            for count in range(1, 9):
+                kind = "examine" if count % 2 else "prove"
+                accepted = await service.submit(submit_msg(kind=kind))
+                await service.wait(accepted["id"])
+                if count in (2, 8):
+                    sizes[count] = out.stat().st_size
+            return sizes
+
+        sizes = asyncio.run(run_service(
+            ServeConfig(telemetry_out=out), body))
+        dump = json.loads(out.read_text())
+        assert "events" not in dump
+        assert sizes[8] <= sizes[2] + 256
+        lanes = dump["context"]["serve"]["lanes"]
+        assert set(lanes) == {"interactive", "bulk"}
+        for lane in lanes.values():
+            assert lane["served"] == 4
+            assert lane["latency_p50_seconds"] <= lane["latency_p95_seconds"]
 
 
 class TestReplay:

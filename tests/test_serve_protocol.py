@@ -355,13 +355,13 @@ class TestExecConfigCodec:
     def test_round_trip(self):
         config = ExecConfig(jobs=3, backend="process", timeout_seconds=1.5,
                             retries=RetryPolicy(retries=2),
-                            on_error="record", cache_memory_entries=10)
+                            on_error="record", batch_size=10)
         clone = ExecConfig.from_json(config.to_json())
         assert clone.jobs == 3 and clone.backend == "process"
         assert clone.timeout_seconds == 1.5
         assert clone.retries.retries == 2
         assert clone.on_error == "record"
-        assert clone.cache_memory_entries == 10
+        assert clone.batch_size == 10
 
     def test_json_is_plain_data(self):
         json.dumps(ExecConfig(retries=RetryPolicy()).to_json())
